@@ -1,5 +1,7 @@
 #include "src/components/protocol_stack.h"
 
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/hw/netdev.h"
 
@@ -48,6 +50,7 @@ Status StackComponent::Setup(const std::string& driver_path, net::StackConfig co
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
   PARA_ASSIGN_OR_RETURN(rx_buffer_,
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
+  rx_frame_.reserve(nucleus::kPageSize);
 
   stack_ = std::make_unique<net::ProtocolStack>(
       config, [this](std::span<const uint8_t> frame) { return SendFrame(frame); });
@@ -80,17 +83,22 @@ Status StackComponent::SendFrame(std::span<const uint8_t> frame) {
 }
 
 void StackComponent::PumpRx() {
+  // Borrow the staging vector for the loop: a handler that re-enters PumpRx
+  // (say, a reply looped back to this stack) stages into a vector of its own
+  // instead of overwriting the frame being delivered.
+  std::vector<uint8_t> frame = std::exchange(rx_frame_, {});
   for (;;) {
     uint64_t len = driver_->Invoke(kDriverPollRecv, rx_buffer_, nucleus::kPageSize);
     if (len == 0) {
-      return;
+      break;
     }
-    std::vector<uint8_t> frame(len);
+    frame.resize(len);
     if (!deps_.vmem->Read(home_, rx_buffer_, frame).ok()) {
-      return;
+      break;
     }
     stack_->OnFrame(frame);
   }
+  rx_frame_ = std::move(frame);
 }
 
 uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_vaddr,
@@ -112,7 +120,9 @@ uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_
 uint64_t StackComponent::BindPort(uint64_t port, uint64_t, uint64_t, uint64_t) {
   auto p = static_cast<net::Port>(port);
   Status bound = stack_->BindPort(
-      p, [this, p](const net::Datagram& datagram) { inboxes_[p].push_back(datagram); });
+      p, [this, p](const net::Datagram& datagram) {
+        inboxes_[p].emplace_back(datagram.payload.begin(), datagram.payload.end());
+      });
   return bound.ok() ? 0 : ~uint64_t{0};
 }
 
@@ -122,15 +132,15 @@ uint64_t StackComponent::Recv(uint64_t port, uint64_t dest_vaddr, uint64_t capac
   if (it == inboxes_.end() || it->second.empty()) {
     return 0;
   }
-  net::Datagram datagram = std::move(it->second.front());
+  std::vector<uint8_t> payload = std::move(it->second.front());
   it->second.pop_front();
-  if (datagram.payload.size() > capacity) {
+  if (payload.size() > capacity) {
     return 0;
   }
-  if (!deps_.vmem->Write(home_, dest_vaddr, datagram.payload).ok()) {
+  if (!deps_.vmem->Write(home_, dest_vaddr, payload).ok()) {
     return 0;
   }
-  return datagram.payload.size();
+  return payload.size();
 }
 
 uint64_t StackComponent::Stats(uint64_t index, uint64_t, uint64_t, uint64_t) {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/components/interfaces.h"
 #include "src/net/stack.h"
@@ -81,8 +82,11 @@ class StackComponent : public obj::Object {
   std::unique_ptr<net::ProtocolStack> stack_;
   nucleus::VAddr tx_buffer_ = 0;  // frame staging in the home domain
   nucleus::VAddr rx_buffer_ = 0;
+  std::vector<uint8_t> rx_frame_;  // PumpRx's reusable copy of rx_buffer_
   uint64_t event_registration_ = 0;
-  std::map<net::Port, std::deque<net::Datagram>> inboxes_;
+  // Received payloads per bound port. Delivered datagrams only alias the
+  // frame for the handler call, so the inbox keeps its own copies.
+  std::map<net::Port, std::deque<std::vector<uint8_t>>> inboxes_;
 };
 
 }  // namespace para::components

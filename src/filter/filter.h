@@ -210,7 +210,7 @@ inline constexpr std::string_view kFilterStatsSlotNames[] = {
 // address 0 onto its slot (one VM burst per shard per chunk, amortizing
 // JitContext setup and the native prologue across the burst).
 inline constexpr size_t kMaxFilterShards = 64;
-inline constexpr size_t kMaxFilterBatch = 64;    // packets per burst chunk
+inline constexpr size_t kMaxFilterBatch = net::kBurstChunk;  // packets per burst chunk
 inline constexpr size_t kFilterBatchSlot = 256;  // bytes per descriptor slot
 static_assert(kFilterBatchSlot >= kDescriptorBytes,
               "a descriptor (header fields + payload capture) must fit its slot");

@@ -6,6 +6,7 @@
 #ifndef PARAMECIUM_SRC_NET_FILTER_HOOK_H_
 #define PARAMECIUM_SRC_NET_FILTER_HOOK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -76,6 +77,11 @@ static_assert(sizeof(FilterDecision) == 8, "FilterDecision must stay register-si
 
 // Datagram-level hook installed on the stack's ingress/egress paths.
 using FilterHook = std::function<FilterDecision(const PacketView&, FilterDirection)>;
+
+// Packets per batch-hook call. ProtocolStack::OnFrameBurst decapsulates and
+// filters a burst in chunks of this many frames, and the filter's batch path
+// (filter::kMaxFilterBatch) marshals descriptors in chunks of the same size.
+inline constexpr size_t kBurstChunk = 64;
 
 // Batched datagram-level hook: one call decides a whole burst. The hook
 // writes decisions[i] for views[i] (decisions.size() >= views.size()) with

@@ -1,5 +1,8 @@
 #include "src/net/headers.h"
 
+#include <bit>
+#include <cstring>
+
 #include "src/base/crc32.h"
 
 namespace para::net {
@@ -52,38 +55,51 @@ void EthEncap(PacketBuffer& packet, const EthHeader& header) {
   packet.Append(trailer);
 }
 
-Result<EthHeader> EthDecap(PacketBuffer& packet) {
-  if (packet.size() < EthHeader::kWireSize + 4) {
+Result<EthHeader> EthDecap(std::span<const uint8_t>& frame) {
+  if (frame.size() < EthHeader::kWireSize + 4) {
     return Status(ErrorCode::kInvalidArgument, "frame too short");
   }
-  auto data = packet.data();
-  uint32_t fcs = GetBE32(data.data() + data.size() - 4);
-  uint32_t actual = Crc32(data.subspan(0, data.size() - 4));
+  uint32_t fcs = GetBE32(frame.data() + frame.size() - 4);
+  uint32_t actual = Crc32(frame.first(frame.size() - 4));
   if (fcs != actual) {
     return Status(ErrorCode::kFailedPrecondition, "FCS mismatch");
   }
   EthHeader header;
-  header.dst = GetMac(data.data());
-  header.src = GetMac(data.data() + 6);
-  header.ether_type = GetBE16(data.data() + 12);
-  packet.TrimTail(4);
-  packet.Consume(EthHeader::kWireSize);
+  header.dst = GetMac(frame.data());
+  header.src = GetMac(frame.data() + 6);
+  header.ether_type = GetBE16(frame.data() + 12);
+  frame = frame.subspan(EthHeader::kWireSize, frame.size() - EthHeader::kWireSize - 4);
   return header;
 }
 
 uint16_t InternetChecksum(std::span<const uint8_t> data) {
-  uint32_t sum = 0;
-  size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  // Sums native-order 32-bit words into a 64-bit accumulator: ones-complement
+  // addition is byte-order independent up to a final byte swap (RFC 1071
+  // §2(B)), and 2^32 == 2^16 == 1 in its arithmetic, so wider words fold to
+  // the same 16-bit sum.
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t sum = 0;
+  for (; n >= 4; p += 4, n -= 4) {
+    uint32_t word;
+    std::memcpy(&word, p, 4);
+    sum += word;
   }
-  if (i < data.size()) {
-    sum += static_cast<uint32_t>(data[i] << 8);
+  // The 1-3 trailing bytes, zero-padded: an odd last byte becomes the high
+  // (first-on-the-wire) half of a word whose low half is zero.
+  if (n > 0) {
+    uint32_t tail = 0;
+    std::memcpy(&tail, p, n);
+    sum += tail;
   }
   while (sum >> 16) {
     sum = (sum & 0xFFFF) + (sum >> 16);
   }
-  return static_cast<uint16_t>(~sum);
+  auto folded = static_cast<uint16_t>(sum);
+  if constexpr (std::endian::native == std::endian::little) {
+    folded = static_cast<uint16_t>((folded >> 8) | (folded << 8));
+  }
+  return static_cast<uint16_t>(~folded);
 }
 
 void IpEncap(PacketBuffer& packet, IpHeader header) {
@@ -101,30 +117,29 @@ void IpEncap(PacketBuffer& packet, IpHeader header) {
   PutBE16(hdr.data() + 6, checksum);
 }
 
-Result<IpHeader> IpDecap(PacketBuffer& packet) {
+Result<IpHeader> IpDecap(std::span<const uint8_t>& packet) {
   if (packet.size() < IpHeader::kWireSize) {
     return Status(ErrorCode::kInvalidArgument, "ip packet too short");
   }
-  auto data = packet.data();
-  if (data[0] != 4) {
+  if (packet[0] != 4) {
     return Status(ErrorCode::kInvalidArgument, "bad ip version");
   }
-  if (InternetChecksum(data.subspan(0, IpHeader::kWireSize)) != 0) {
+  if (InternetChecksum(packet.first(IpHeader::kWireSize)) != 0) {
     return Status(ErrorCode::kFailedPrecondition, "ip checksum mismatch");
   }
   IpHeader header;
-  header.ttl = data[1];
-  header.proto = data[2];
-  header.total_length = GetBE16(data.data() + 4);
-  header.src = GetBE32(data.data() + 8);
-  header.dst = GetBE32(data.data() + 12);
+  header.ttl = packet[1];
+  header.proto = packet[2];
+  header.total_length = GetBE16(packet.data() + 4);
+  header.src = GetBE32(packet.data() + 8);
+  header.dst = GetBE32(packet.data() + 12);
   if (header.total_length != packet.size()) {
     return Status(ErrorCode::kInvalidArgument, "ip length mismatch");
   }
   if (header.ttl == 0) {
     return Status(ErrorCode::kFailedPrecondition, "ttl expired");
   }
-  packet.Consume(IpHeader::kWireSize);
+  packet = packet.subspan(IpHeader::kWireSize);
   return header;
 }
 
@@ -139,22 +154,21 @@ void UdpEncap(PacketBuffer& packet, UdpHeader header) {
   PutBE16(hdr.data() + 6, checksum);
 }
 
-Result<UdpHeader> UdpDecap(PacketBuffer& packet) {
-  if (packet.size() < UdpHeader::kWireSize) {
+Result<UdpHeader> UdpDecap(std::span<const uint8_t>& datagram) {
+  if (datagram.size() < UdpHeader::kWireSize) {
     return Status(ErrorCode::kInvalidArgument, "udp datagram too short");
   }
-  auto data = packet.data();
-  if (InternetChecksum(data) != 0) {
+  if (InternetChecksum(datagram) != 0) {
     return Status(ErrorCode::kFailedPrecondition, "udp checksum mismatch");
   }
   UdpHeader header;
-  header.src_port = GetBE16(data.data());
-  header.dst_port = GetBE16(data.data() + 2);
-  header.length = GetBE16(data.data() + 4);
-  if (header.length != packet.size()) {
+  header.src_port = GetBE16(datagram.data());
+  header.dst_port = GetBE16(datagram.data() + 2);
+  header.length = GetBE16(datagram.data() + 4);
+  if (header.length != datagram.size()) {
     return Status(ErrorCode::kInvalidArgument, "udp length mismatch");
   }
-  packet.Consume(UdpHeader::kWireSize);
+  datagram = datagram.subspan(UdpHeader::kWireSize);
   return header;
 }
 

@@ -5,6 +5,7 @@
 #define PARAMECIUM_SRC_NET_HEADERS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/base/status.h"
 #include "src/net/pktbuf.h"
@@ -33,9 +34,13 @@ struct EthHeader {
 // Prepends the header and appends a CRC-32 frame check sequence.
 void EthEncap(PacketBuffer& packet, const EthHeader& header);
 
+// RX-side decapsulation parses in place: each *Decap takes a view of the
+// received bytes and, on success, narrows it to the layer's payload (no copy;
+// the view aliases the caller's frame). On failure the view is unchanged.
+
 // Verifies + strips FCS and header. kInvalidArgument on malformed frames,
 // kFailedPrecondition on FCS mismatch.
-Result<EthHeader> EthDecap(PacketBuffer& packet);
+Result<EthHeader> EthDecap(std::span<const uint8_t>& frame);
 
 // --- IPv4-lite ---------------------------------------------------------------
 
@@ -54,9 +59,10 @@ struct IpHeader {
 };
 
 void IpEncap(PacketBuffer& packet, IpHeader header);
-Result<IpHeader> IpDecap(PacketBuffer& packet);
+Result<IpHeader> IpDecap(std::span<const uint8_t>& packet);
 
-// RFC1071-style ones-complement checksum (used by the IP-lite header).
+// RFC1071-style ones-complement checksum (used by the IP-lite and UDP-lite
+// headers). An odd trailing byte is summed as if padded with a zero byte.
 uint16_t InternetChecksum(std::span<const uint8_t> data);
 
 // --- UDP-lite ----------------------------------------------------------------
@@ -70,7 +76,7 @@ struct UdpHeader {
 };
 
 void UdpEncap(PacketBuffer& packet, UdpHeader header);
-Result<UdpHeader> UdpDecap(PacketBuffer& packet);
+Result<UdpHeader> UdpDecap(std::span<const uint8_t>& datagram);
 
 }  // namespace para::net
 

@@ -1,6 +1,7 @@
 // Packet buffer with headroom, so each protocol layer prepends its header
 // without copying the payload — the usual kernel mbuf/skb trick, sized for
-// the simulated link's 2 KiB frames.
+// the simulated link's 2 KiB frames. It serves the TX path; received frames
+// are parsed in place (see the *Decap functions in headers.h).
 #ifndef PARAMECIUM_SRC_NET_PKTBUF_H_
 #define PARAMECIUM_SRC_NET_PKTBUF_H_
 
@@ -25,13 +26,6 @@ class PacketBuffer {
     PARA_CHECK(headroom <= capacity);
   }
 
-  // Wraps received bytes (no headroom needed on the RX path).
-  static PacketBuffer FromBytes(std::span<const uint8_t> bytes) {
-    PacketBuffer buf(0, bytes.size());
-    buf.Append(bytes);
-    return buf;
-  }
-
   size_t size() const { return end_ - begin_; }
   size_t headroom() const { return begin_; }
   bool empty() const { return begin_ == end_; }
@@ -44,6 +38,9 @@ class PacketBuffer {
   // Appends payload bytes at the tail.
   void Append(std::span<const uint8_t> bytes) {
     PARA_CHECK(end_ + bytes.size() <= storage_.size());
+    if (bytes.empty()) {
+      return;  // an empty span may carry a null data(), which memcpy forbids
+    }
     std::memcpy(storage_.data() + end_, bytes.data(), bytes.size());
     end_ += bytes.size();
   }

@@ -1,5 +1,6 @@
 #include "src/net/stack.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -87,6 +88,14 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
   if (neighbor == neighbors_.end()) {
     return Status(ErrorCode::kUnavailable, "no route to host");
   }
+  // Exactly the headroom the three headers claim plus the FCS trailer, not
+  // the zero-filled 2 KiB default; the frame must still fit the link's.
+  constexpr size_t kHeadroom =
+      EthHeader::kWireSize + IpHeader::kWireSize + UdpHeader::kWireSize;
+  const size_t frame_size = kHeadroom + payload.size() + 4;
+  if (frame_size > PacketBuffer::kDefaultCapacity) {
+    return Status(ErrorCode::kOutOfRange, "datagram exceeds frame size");
+  }
   uint8_t ttl = 64;  // what IpEncap will stamp; a normalize proc may rewrite it
   if (egress_filter_ != nullptr) {
     PacketView view;
@@ -101,7 +110,7 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
       return Status(ErrorCode::kPermissionDenied, "blocked by egress filter");
     }
   }
-  PacketBuffer packet;
+  PacketBuffer packet(kHeadroom, frame_size);
   packet.Append(payload);
   UdpEncap(packet, UdpHeader{src_port, dst_port, 0});
   IpEncap(packet, IpHeader{ttl, kIpProtoUdpLite, config_.ip, dst, 0});
@@ -111,12 +120,10 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
   return sender_(packet.data());
 }
 
-bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* packet,
-                                 PacketView* view) {
+bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketView* view) {
   ++stats_.frames_in;
-  *packet = PacketBuffer::FromBytes(frame);
 
-  auto eth = EthDecap(*packet);
+  auto eth = EthDecap(frame);
   if (!eth.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -130,7 +137,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
     return false;
   }
 
-  auto ip = IpDecap(*packet);
+  auto ip = IpDecap(frame);
   if (!ip.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -144,7 +151,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
     return false;
   }
 
-  auto udp = UdpDecap(*packet);
+  auto udp = UdpDecap(frame);
   if (!udp.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -156,7 +163,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
   view->dst_port = udp->dst_port;
   view->proto = ip->proto;
   view->ttl = ip->ttl;
-  view->payload = packet->data();
+  view->payload = frame;
   return true;
 }
 
@@ -167,21 +174,14 @@ void ProtocolStack::Deliver(const PacketView& view) {
     return;
   }
   ++stats_.datagrams_in;
-  Datagram datagram;
-  datagram.src = view.src_ip;
-  datagram.src_port = view.src_port;
-  datagram.payload.assign(view.payload.begin(), view.payload.end());
-  socket->second(datagram);
+  socket->second(Datagram{view.src_ip, view.src_port, view.payload});
 }
 
 void ProtocolStack::OnFrame(std::span<const uint8_t> frame) {
-  PacketBuffer packet;
   PacketView view;
-  if (!DecapIngress(frame, &packet, &view)) {
+  if (!DecapIngress(frame, &view)) {
     return;
   }
-  // Ingress filter verdict on a zero-copy view of the decapsulated packet:
-  // a dropped or rejected datagram costs no allocation.
   if (ingress_filter_ != nullptr &&
       !ApplyFilter(ingress_filter_, view, FilterDirection::kIngress)) {
     return;
@@ -198,35 +198,32 @@ void ProtocolStack::OnFrameBurst(std::span<const std::span<const uint8_t>> frame
     }
     return;
   }
-  // Decap pass first: the surviving views alias their PacketBuffers, which
-  // must outlive the batch verdict (PacketBuffer is vector-backed, so the
-  // payload spans survive the moves into `packets`).
-  std::vector<PacketBuffer> packets;
-  std::vector<PacketView> views;
-  packets.reserve(frames.size());
-  views.reserve(frames.size());
-  for (std::span<const uint8_t> frame : frames) {
-    PacketBuffer packet;
-    PacketView view;
-    if (!DecapIngress(frame, &packet, &view)) {
+  // Chunk-local scratch on the stack, not in members: a handler may re-enter
+  // the stack (even OnFrameBurst) while a chunk is being delivered. The views
+  // alias the caller's frames, which outlive the call.
+  PacketView views[kBurstChunk];
+  FilterDecision decisions[kBurstChunk];
+  for (size_t off = 0; off < frames.size(); off += kBurstChunk) {
+    const auto chunk = frames.subspan(off, std::min(kBurstChunk, frames.size() - off));
+    size_t n = 0;
+    for (std::span<const uint8_t> frame : chunk) {
+      if (DecapIngress(frame, &views[n])) {
+        ++n;
+      }
+    }
+    if (n == 0) {
       continue;
     }
-    packets.push_back(std::move(packet));
-    views.push_back(view);
-  }
-  if (views.empty()) {
-    return;
-  }
-  // One filter entry for the whole burst; per-packet decisions come back in
-  // order, and delivery replays them in order — byte-identical outcomes to
-  // the per-frame path.
-  std::vector<FilterDecision> decisions(views.size());
-  ingress_batch_filter_(views, FilterDirection::kIngress, decisions);
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (!ApplyDecision(decisions[i], /*ttl_override=*/nullptr)) {
-      continue;
+    // One filter entry for the whole chunk; per-packet decisions come back
+    // in order, and delivery replays them in order — byte-identical outcomes
+    // to the per-frame path.
+    ingress_batch_filter_(std::span<const PacketView>(views, n), FilterDirection::kIngress,
+                          std::span<FilterDecision>(decisions, n));
+    for (size_t i = 0; i < n; ++i) {
+      if (ApplyDecision(decisions[i], /*ttl_override=*/nullptr)) {
+        Deliver(views[i]);
+      }
     }
-    Deliver(views[i]);
   }
 }
 

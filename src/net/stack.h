@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/telemetry.h"
@@ -23,11 +23,13 @@ namespace para::net {
 // Driver-facing frame output: sends raw bytes on the wire.
 using FrameSender = std::function<Status(std::span<const uint8_t>)>;
 
-// Datagram delivery to a bound socket.
+// Datagram delivery to a bound socket. Zero-copy, like PacketView: the
+// payload aliases the received frame and is valid only for the duration of
+// the handler call; a handler that keeps the bytes copies them.
 struct Datagram {
   IpAddr src = 0;
   Port src_port = 0;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
 };
 using DatagramHandler = std::function<void(const Datagram&)>;
 
@@ -66,19 +68,21 @@ class ProtocolStack {
   Status UnbindPort(Port port);
 
   // Sends a UDP-lite datagram. Blocked by the egress filter =>
-  // kPermissionDenied.
+  // kPermissionDenied; a frame larger than the link's 2 KiB => kOutOfRange.
   Status SendDatagram(IpAddr dst, Port src_port, Port dst_port,
                       std::span<const uint8_t> payload);
 
-  // Driver-facing input: a raw frame arrived on the wire.
+  // Driver-facing input: a raw frame arrived on the wire. The frame is parsed
+  // in place; nothing is copied or allocated on the way to the handler.
   void OnFrame(std::span<const uint8_t> frame);
 
   // Driver-facing input for a burst of frames (one RX-queue poll). With a
-  // batch ingress filter installed, all frames are decapsulated first and
-  // the filter decides the surviving packets in ONE EvaluateBatch-style
-  // call — amortizing filter entry costs across the burst — with verdicts,
-  // counters, and delivery order identical to calling OnFrame per frame.
-  // Without one it degrades to exactly that loop.
+  // batch ingress filter installed, the burst is processed in chunks of
+  // kBurstChunk frames: each chunk is decapsulated, the filter decides its
+  // surviving packets in ONE EvaluateBatch-style call — amortizing filter
+  // entry costs — and the passed ones are delivered, with verdicts, counters,
+  // and delivery order identical to calling OnFrame per frame. Without one
+  // it degrades to exactly that loop.
   void OnFrameBurst(std::span<const std::span<const uint8_t>> frames);
 
   // Filter hook points. The ingress hook runs after UDP decap with a
@@ -108,9 +112,9 @@ class ProtocolStack {
   // its decisions from one hook call for the whole burst).
   bool ApplyDecision(const FilterDecision& decision, uint8_t* ttl_override);
   // Eth/IP/UDP ingress decapsulation with the drop counters; on success
-  // `packet` holds the payload and `view` aliases it (header fields filled).
-  bool DecapIngress(std::span<const uint8_t> frame, PacketBuffer* packet, PacketView* view);
-  // Socket lookup + datagram materialization for a packet the filter passed.
+  // `view` holds the header fields and its payload aliases `frame`.
+  bool DecapIngress(std::span<const uint8_t> frame, PacketView* view);
+  // Socket lookup + handler call for a packet the filter passed.
   void Deliver(const PacketView& view);
 
   StackConfig config_;

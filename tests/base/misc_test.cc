@@ -1,9 +1,11 @@
 // CRC-32, PRNG, hexdump, virtual clock, and logger tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/base/crc32.h"
 #include "src/base/hexdump.h"
@@ -23,6 +25,63 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32(Bytes("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(Bytes("")), 0x00000000u);
   EXPECT_EQ(Crc32(Bytes("a")), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32(Bytes("The quick brown fox jumps over the lazy dog")), 0x414FA339u);
+}
+
+// The textbook bytewise table loop, kept here as the oracle for the
+// slice-by-8 implementation (whose output component images persist).
+uint32_t ReferenceCrc32(std::span<const uint8_t> data) {
+  static const auto table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  // Every length 0..2048 at every start offset 0..7 (so the 8-byte loads
+  // see every alignment and every tail length), over seeded random bytes
+  // and over all-ones bytes.
+  Random rng(0xC3C32);
+  std::vector<uint8_t> random_bytes(2048 + 8);
+  for (uint8_t& b : random_bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<uint8_t> ones(2048 + 8, 0xFF);
+  for (const auto* buffer : {&random_bytes, &ones}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 2048; ++len) {
+        std::span<const uint8_t> data(buffer->data() + offset, len);
+        ASSERT_EQ(Crc32(data), ReferenceCrc32(data)) << "offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, EverySplitPointMatchesOneShot) {
+  Random rng(77);
+  std::vector<uint8_t> data(300);
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const uint32_t one_shot = Crc32(data);
+  const std::span<const uint8_t> all(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    uint32_t crc = Crc32Update(Crc32Init(), all.first(split));
+    crc = Crc32Update(crc, all.subspan(split));
+    ASSERT_EQ(Crc32Final(crc), one_shot) << "split " << split;
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/net/headers.h"
 #include "src/net/pktbuf.h"
 #include "src/net/stack.h"
@@ -42,22 +43,17 @@ TEST(PacketBufferTest, PrependUsesHeadroom) {
   EXPECT_EQ(buf.headroom(), 4u);
 }
 
-TEST(PacketBufferTest, FromBytes) {
-  PacketBuffer buf = PacketBuffer::FromBytes(Bytes("abc"));
-  EXPECT_EQ(AsString(buf.data()), "abc");
-  EXPECT_EQ(buf.headroom(), 0u);
-}
-
 TEST(EthTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("ether payload"));
   EthEncap(packet, EthHeader{0x0A0B0C0D0E0Full, 0x010203040506ull, kEtherTypeIpLite});
-  auto header = EthDecap(packet);
+  std::span<const uint8_t> frame = packet.data();
+  auto header = EthDecap(frame);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->dst, 0x0A0B0C0D0E0Full);
   EXPECT_EQ(header->src, 0x010203040506ull);
   EXPECT_EQ(header->ether_type, kEtherTypeIpLite);
-  EXPECT_EQ(AsString(packet.data()), "ether payload");
+  EXPECT_EQ(AsString(frame), "ether payload");
 }
 
 TEST(EthTest, CorruptFcsRejected) {
@@ -65,25 +61,27 @@ TEST(EthTest, CorruptFcsRejected) {
   packet.Append(Bytes("data"));
   EthEncap(packet, EthHeader{1, 2, kEtherTypeIpLite});
   packet.data()[15] ^= 0x01;
-  EXPECT_FALSE(EthDecap(packet).ok());
+  std::span<const uint8_t> frame = packet.data();
+  EXPECT_FALSE(EthDecap(frame).ok());
 }
 
 TEST(EthTest, ShortFrameRejected) {
-  PacketBuffer packet = PacketBuffer::FromBytes(Bytes("tiny"));
-  EXPECT_FALSE(EthDecap(packet).ok());
+  std::span<const uint8_t> frame = Bytes("tiny");
+  EXPECT_FALSE(EthDecap(frame).ok());
 }
 
 TEST(IpTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("ip payload"));
   IpEncap(packet, IpHeader{32, kIpProtoUdpLite, 0x0A000001, 0x0A000002, 0});
-  auto header = IpDecap(packet);
+  std::span<const uint8_t> data = packet.data();
+  auto header = IpDecap(data);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->ttl, 32);
   EXPECT_EQ(header->proto, kIpProtoUdpLite);
   EXPECT_EQ(header->src, 0x0A000001u);
   EXPECT_EQ(header->dst, 0x0A000002u);
-  EXPECT_EQ(AsString(packet.data()), "ip payload");
+  EXPECT_EQ(AsString(data), "ip payload");
 }
 
 TEST(IpTest, ChecksumDetectsCorruption) {
@@ -91,7 +89,8 @@ TEST(IpTest, ChecksumDetectsCorruption) {
   packet.Append(Bytes("x"));
   IpEncap(packet, IpHeader{64, kIpProtoUdpLite, 1, 2, 0});
   packet.data()[8] ^= 0x10;  // flip a src-address bit
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> data = packet.data();
+  EXPECT_FALSE(IpDecap(data).ok());
 }
 
 TEST(IpTest, LengthMismatchRejected) {
@@ -99,25 +98,28 @@ TEST(IpTest, LengthMismatchRejected) {
   packet.Append(Bytes("payload"));
   IpEncap(packet, IpHeader{64, kIpProtoUdpLite, 1, 2, 0});
   packet.TrimTail(2);  // truncate in flight
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> data = packet.data();
+  EXPECT_FALSE(IpDecap(data).ok());
 }
 
 TEST(IpTest, ZeroTtlRejected) {
   PacketBuffer packet;
   packet.Append(Bytes("x"));
   IpEncap(packet, IpHeader{0, kIpProtoUdpLite, 1, 2, 0});
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> data = packet.data();
+  EXPECT_FALSE(IpDecap(data).ok());
 }
 
 TEST(UdpTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("datagram"));
   UdpEncap(packet, UdpHeader{1234, 80, 0});
-  auto header = UdpDecap(packet);
+  std::span<const uint8_t> data = packet.data();
+  auto header = UdpDecap(data);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->src_port, 1234);
   EXPECT_EQ(header->dst_port, 80);
-  EXPECT_EQ(AsString(packet.data()), "datagram");
+  EXPECT_EQ(AsString(data), "datagram");
 }
 
 TEST(UdpTest, ChecksumCoversPayload) {
@@ -125,7 +127,8 @@ TEST(UdpTest, ChecksumCoversPayload) {
   packet.Append(Bytes("datagram"));
   UdpEncap(packet, UdpHeader{1234, 80, 0});
   packet.data()[UdpHeader::kWireSize + 2] ^= 0x01;  // corrupt payload byte
-  EXPECT_FALSE(UdpDecap(packet).ok());
+  std::span<const uint8_t> data = packet.data();
+  EXPECT_FALSE(UdpDecap(data).ok());
 }
 
 TEST(ChecksumTest, Rfc1071Properties) {
@@ -171,6 +174,44 @@ TEST(ChecksumTest, AllOnesFoldsToAllOnesSum) {
   }
 }
 
+// The original bytewise RFC 1071 loop (big-endian 16-bit words into a 32-bit
+// sum), kept here as the oracle for the word-wise implementation.
+uint16_t ReferenceChecksum(std::span<const uint8_t> data) {
+  uint32_t sum = 0;
+  size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  }
+  if (i < data.size()) {
+    sum += static_cast<uint32_t>(data[i] << 8);
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum);
+}
+
+TEST(ChecksumTest, MatchesBytewiseReference) {
+  // Every length 0..2048 (odd ones included) at every start offset 0..7,
+  // over seeded random bytes, carry-heavy all-0xFF bytes, and all-zero bytes.
+  Random rng(0x1071);
+  std::vector<uint8_t> random_bytes(2048 + 8);
+  for (uint8_t& b : random_bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<uint8_t> ones(2048 + 8, 0xFF);
+  std::vector<uint8_t> zeros(2048 + 8, 0x00);
+  for (const auto* buffer : {&random_bytes, &ones, &zeros}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 2048; ++len) {
+        std::span<const uint8_t> data(buffer->data() + offset, len);
+        ASSERT_EQ(InternetChecksum(data), ReferenceChecksum(data))
+            << "offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
 TEST(PacketBufferDeathTest, PrependPastHeadroomPanics) {
   PacketBuffer buf;  // kDefaultHeadroom of reserved header space
   buf.Append(Bytes("payload"));
@@ -185,6 +226,18 @@ TEST(PacketBufferDeathTest, PrependPastHeadroomPanics) {
 TEST(PacketBufferDeathTest, OversizedPrependPanicsUpFront) {
   PacketBuffer buf;
   EXPECT_DEATH(buf.Prepend(PacketBuffer::kDefaultHeadroom + 1), "check failed");
+}
+
+// A delivered datagram with its payload copied out: Datagram::payload aliases
+// the received frame only for the handler call.
+struct ReceivedDatagram {
+  IpAddr src = 0;
+  Port src_port = 0;
+  std::vector<uint8_t> payload;
+};
+
+ReceivedDatagram Keep(const Datagram& d) {
+  return {d.src, d.src_port, std::vector<uint8_t>(d.payload.begin(), d.payload.end())};
 }
 
 // Two stacks wired back-to-back through in-memory "wires".
@@ -224,8 +277,8 @@ class StackPairTest : public ::testing::Test {
 };
 
 TEST_F(StackPairTest, DatagramDelivery) {
-  std::vector<Datagram> received;
-  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<ReceivedDatagram> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(Keep(d)); }).ok());
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("hello bob")).ok());
   Pump();
   ASSERT_EQ(received.size(), 1u);
@@ -240,8 +293,8 @@ TEST_F(StackPairTest, RequestResponse) {
   ASSERT_TRUE(bob_.BindPort(7, [&](const Datagram& d) {
     (void)bob_.SendDatagram(d.src, 7, d.src_port, d.payload);  // echo
   }).ok());
-  std::vector<Datagram> replies;
-  ASSERT_TRUE(alice_.BindPort(555, [&](const Datagram& d) { replies.push_back(d); }).ok());
+  std::vector<ReceivedDatagram> replies;
+  ASSERT_TRUE(alice_.BindPort(555, [&](const Datagram& d) { replies.push_back(Keep(d)); }).ok());
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 555, 7, Bytes("ping")).ok());
   Pump();
   ASSERT_EQ(replies.size(), 1u);
@@ -252,6 +305,22 @@ TEST_F(StackPairTest, NoRouteFails) {
   auto status = alice_.SendDatagram(0x0A0000FF, 1, 2, Bytes("x"));
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
+}
+
+TEST_F(StackPairTest, OversizedDatagramRejected) {
+  // The largest payload whose frame fits the link's 2 KiB goes through; one
+  // byte more is refused before anything reaches the wire.
+  const size_t max_payload = PacketBuffer::kDefaultCapacity - EthHeader::kWireSize -
+                             IpHeader::kWireSize - UdpHeader::kWireSize - 4;
+  size_t delivered = 0;
+  ASSERT_TRUE(bob_.BindPort(2, [&](const Datagram& d) { delivered = d.payload.size(); }).ok());
+  std::vector<uint8_t> payload(max_payload + 1, 0x42);
+  EXPECT_EQ(alice_.SendDatagram(0x0A000002, 1, 2, payload).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(alice_.stats().frames_out, 0u);
+  payload.pop_back();
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1, 2, payload).ok());
+  Pump();
+  EXPECT_EQ(delivered, max_payload);
 }
 
 TEST_F(StackPairTest, UnboundPortDropped) {
