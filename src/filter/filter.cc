@@ -827,6 +827,7 @@ sfi::VmStats PacketFilter::vm_stats() const {
     total.calls += s.calls;
     total.host_calls += s.host_calls;
     total.jit_runs += s.jit_runs;
+    total.static_proofs += s.static_proofs;
   }
   return total;
 }

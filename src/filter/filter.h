@@ -89,25 +89,6 @@ constexpr uint32_t FilterEventRule(uint64_t detail) {
   return static_cast<uint32_t>(detail >> 32);
 }
 
-// Deprecated: the PR-5-era event encoding (verdict u8 | direction u8 |
-// rule << 32), kept only so out-of-tree monitors keep compiling. The filter
-// no longer raises this layout — migrate to EncodeFilterEvent and the
-// FilterEvent* decode helpers, which also carry the procedure id.
-constexpr uint64_t EncodeVerdictEvent(net::FilterVerdict verdict, net::FilterDirection dir,
-                                      uint32_t rule) {
-  return static_cast<uint64_t>(verdict) | (static_cast<uint64_t>(dir) << 8) |
-         (static_cast<uint64_t>(rule) << 32);
-}
-constexpr net::FilterVerdict VerdictEventVerdict(uint64_t detail) {
-  return static_cast<net::FilterVerdict>(detail & 0xFF);
-}
-constexpr net::FilterDirection VerdictEventDirection(uint64_t detail) {
-  return static_cast<net::FilterDirection>((detail >> 8) & 0xFF);
-}
-constexpr uint32_t VerdictEventRule(uint64_t detail) {
-  return static_cast<uint32_t>(detail >> 32);
-}
-
 struct FilterConfig {
   std::string name = "filter";
   // Data-plane shards (one per RX queue). Each shard owns a FlowTable

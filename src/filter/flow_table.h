@@ -1,22 +1,36 @@
 // Stateful connection tracking for the packet filter: a bounded flow table
-// keyed on the (src, dst, sport, dport, proto) 5-tuple with LRU eviction,
-// per-flow counters, reverse-tuple matching, and optional idle expiry on the
-// virtual clock. A flow is recorded when a packet passes the rule set;
-// subsequent packets of the flow — in EITHER direction: reply traffic
-// matches the reversed tuple and shares the established entry — hit the
-// table and skip rule evaluation entirely. Each entry records the rule-set
-// epoch that admitted it, so the filter can tell a fresh verdict from one
-// cached under rules that have since been reloaded (PacketFilter
+// keyed on the (src, dst, sport, dport, proto) 5-tuple with exact LRU
+// eviction, per-flow counters, reverse-tuple matching, and optional idle
+// expiry on the virtual clock. A flow is recorded when a packet passes the
+// rule set; subsequent packets of the flow — in EITHER direction: reply
+// traffic matches the reversed tuple and shares the established entry — hit
+// the table and skip rule evaluation entirely. Each entry records the
+// rule-set epoch that admitted it, so the filter can tell a fresh verdict
+// from one cached under rules that have since been reloaded (PacketFilter
 // re-evaluates stale-epoch hits unless keep-alive is configured). With a
 // clock and TTL configured, entries idle longer than the TTL expire lazily
 // on the next touch (and expired LRU victims are reclaimed before live ones
 // under pressure).
+//
+// Layout: a flat, open-addressed index over a fixed node array, both sized
+// at construction and never reallocated — the data path makes no heap
+// allocation and a returned FlowEntry* stays put until its entry leaves the
+// table. The index is keyed on SymmetricFlowHash, so a conversation's two
+// orientations share one probe sequence: a lookup is ONE linear probe that
+// reports which way the stored key matched, and "one entry per
+// conversation" is structural. Each index word packs the hash's top 32 bits
+// (a tag compared before any node is touched) with the node id; deletion
+// shifts later entries back (no tombstones). Nodes carry intrusive uint32
+// LRU links and a back-pointer to their index slot, so evicting the LRU tail
+// needs no probe. Memory: 88 B per node plus 16-32 B of index per entry
+// (the index holds the next power of two >= 2 x capacity words).
 #ifndef PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 #define PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
 
 #include "src/base/vclock.h"
 #include "src/net/filter_hook.h"
@@ -36,28 +50,14 @@ struct FlowKey {
   FlowKey Reversed() const { return FlowKey{dst_ip, src_ip, dst_port, src_port, proto}; }
 };
 
-struct FlowKeyHash {
-  size_t operator()(const FlowKey& key) const {
-    // FNV-1a over the packed tuple.
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ull;
-    };
-    mix(static_cast<uint64_t>(key.src_ip) << 32 | key.dst_ip);
-    mix(static_cast<uint64_t>(key.src_port) << 24 | static_cast<uint64_t>(key.dst_port) << 8 |
-        key.proto);
-    return static_cast<size_t>(h);
-  }
-};
-
 // Symmetric 5-tuple hash for shard steering: a conversation and its reply
 // MUST land on the same shard, so the two (addr, port) endpoints are ordered
 // canonically before mixing — SymmetricFlowHash(k) == SymmetricFlowHash(
 // k.Reversed()) for every key, which the property tests enforce over random
-// tuples. Distinct from FlowKeyHash on purpose: the flow map wants forward
-// and reversed tuples in different buckets (it probes both), the steering
-// hash wants them identical.
+// tuples. FlowTable indexes on the same hash for the same reason: both
+// orientations land on one probe sequence. Shard steering consumes the low
+// bits (hash % shards) and the table's index the high bits, so a shard's
+// keys still spread over its whole index.
 inline uint64_t SymmetricFlowHash(const FlowKey& key) {
   uint64_t a = static_cast<uint64_t>(key.src_ip) << 16 | key.src_port;
   uint64_t b = static_cast<uint64_t>(key.dst_ip) << 16 | key.dst_port;
@@ -108,40 +108,76 @@ class FlowTable {
   // Direction of the match Find() returns.
   enum class Direction : uint8_t { kForward, kReverse };
 
-  // Looks up a flow by exact 5-tuple first, then by the reversed tuple (the
-  // reply direction), and on hit promotes it to most-recently-used and
-  // refreshes its idle timer. `direction`, if non-null, reports which way
-  // matched. Expired entries are reclaimed here and report as misses. The
-  // returned pointer is valid until the next Insert/Erase/Clear.
+  // Looks up a flow by its 5-tuple in either orientation — the stored key
+  // equal to `key` (forward), or to its reversal (the reply direction) — and
+  // on hit promotes it to most-recently-used and refreshes its idle timer.
+  // `direction`, if non-null, reports which way matched. Expired entries are
+  // reclaimed here and report as misses. The returned pointer stays valid
+  // until the entry is erased, evicted, expired or cleared.
   FlowEntry* Find(const FlowKey& key, Direction* direction = nullptr);
 
   // Inserts (or replaces) a flow, reclaiming an expired LRU victim — or
   // evicting the live LRU entry — when at capacity. Returns the new entry
   // with all traffic counters reset: establishment starts a fresh
   // generation. At most one entry per conversation: inserting a key whose
-  // *reversed* tuple is present replaces that entry (the new establishment
-  // defines the forward direction) instead of growing an inverted twin.
+  // *reversed* tuple is present rewrites that entry in place (the new
+  // establishment defines the forward direction) instead of growing an
+  // inverted twin.
   FlowEntry* Insert(const FlowKey& key, uint64_t verdict, uint32_t epoch);
 
+  // Removes the entry stored under exactly `key` (not its reversal).
   bool Erase(const FlowKey& key);
   void Clear();
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   VTime ttl() const { return ttl_; }
   const FlowTableStats& stats() const { return stats_; }
 
- private:
-  using LruList = std::list<FlowEntry>;
+  // Diagnostic: the longest distance, in slots, of any live entry from the
+  // index slot its hash names — the worst probe a lookup of a present key
+  // walks past. Scans the whole index; not for the data path.
+  size_t MaxProbeDisplacement() const;
 
+ private:
+  static constexpr uint32_t kNil = ~uint32_t{0};
+
+  struct Node {
+    FlowEntry entry;
+    uint32_t prev;  // toward the MRU head; kNil at the head
+    uint32_t next;  // toward the LRU tail; kNil at the tail (free-list link once freed)
+    uint32_t slot;  // the index slot that names this node
+  };
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+
+  static uint32_t NodeOf(uint64_t word) { return static_cast<uint32_t>(word) - 1; }
+  size_t Home(uint64_t hash) const { return static_cast<size_t>(hash >> shift_); }
+
+  // Walks `hash`'s probe sequence for either orientation of `key`. Returns
+  // the matching slot (with `*direction` set), or the empty slot that ends
+  // the sequence.
+  size_t Probe(const FlowKey& key, uint64_t hash, Direction* direction) const;
   bool Expired(const FlowEntry& entry) const;
-  FlowEntry* Touch(LruList::iterator it);
+  void Touch(uint32_t id);
+  void Unlink(uint32_t id);
+  void LinkFront(uint32_t id);
+  // Unlinks, frees and unindexes node `id`.
+  void Remove(uint32_t id);
 
   size_t capacity_;
   const VirtualClock* clock_;
   VTime ttl_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<FlowKey, LruList::iterator, FlowKeyHash> map_;
+  size_t mask_;     // index slots - 1
+  unsigned shift_;  // 64 - log2(index slots): the hash's high bits pick the home slot
+  std::unique_ptr<uint64_t[], FreeDeleter> index_;  // tag << 32 | (node id + 1); 0 = empty
+  std::unique_ptr<Node[], FreeDeleter> nodes_;      // `capacity_` nodes
+  size_t size_ = 0;
+  uint32_t used_ = 0;     // nodes [0, used_) have been handed out at least once
+  uint32_t free_ = kNil;  // freed nodes, chained through `next`
+  uint32_t head_ = kNil;  // most recently used
+  uint32_t tail_ = kNil;  // least recently used: the next victim
   FlowTableStats stats_;
 };
 

@@ -124,6 +124,7 @@ void ExpectFiltersIdentical(PacketFilter& single, PacketFilter& batch) {
   EXPECT_EQ(va.calls, vb.calls);
   EXPECT_EQ(va.host_calls, vb.host_calls);
   EXPECT_EQ(va.jit_runs, vb.jit_runs);
+  EXPECT_EQ(va.static_proofs, vb.static_proofs);
 
   ASSERT_EQ(single.shard_count(), batch.shard_count());
   EXPECT_EQ(single.flow_count(), batch.flow_count());

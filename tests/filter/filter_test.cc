@@ -716,6 +716,55 @@ TEST(PacketFilterTest, SandboxedAndTrustedAgree) {
   EXPECT_EQ((*trusted)->vm_stats().bounds_checks, 0u);
 }
 
+TEST(PacketFilterTest, MergedVmStatsCarryStaticProofs) {
+  // vm_stats() folds every shard's VmStats; the analyzer's discharged checks
+  // must survive the merge. Sandboxed + analyzed: some (here all) bounds
+  // checks are static proofs. Trusted: no checks, so no proofs either.
+  auto rules = ParseRules(
+      "pass from 10.0.0.0/8 dport 53\n"
+      "drop dport 8080\n"
+      "default drop\n");
+  ASSERT_TRUE(rules.ok());
+
+  FilterConfig config;
+  config.track_flows = false;
+  config.shards = 2;
+  auto sandboxed = PacketFilter::Create(config);
+  ASSERT_TRUE(sandboxed.ok());
+  ASSERT_TRUE((*sandboxed)->Load(*rules).ok());
+
+  para::Random rng(0xD1FF);
+  CertificationAuthority authority(crypto::GenerateKeyPair(512, rng));
+  auto signer_keys = crypto::GenerateKeyPair(512, rng);
+  auto grant = authority.Grant("filter-compiler", signer_keys.public_key,
+                               nucleus::kCertKernelEligible);
+  nucleus::Certifier signer(
+      "filter-compiler", signer_keys, grant,
+      [](const std::string&, std::span<const uint8_t>, uint32_t) { return OkStatus(); });
+  nucleus::CertificationService service(authority.public_key());
+  ASSERT_TRUE(service.RegisterGrant(grant).ok());
+  auto trusted = PacketFilter::Create(config);
+  ASSERT_TRUE(trusted.ok());
+  ASSERT_TRUE((*trusted)->LoadCertified(*rules, signer, service).ok());
+
+  for (uint32_t i = 0; i < 32; ++i) {
+    PacketView view;
+    view.src_ip = 0x0A000005u + i;
+    view.dst_ip = 0x0A010002;
+    view.src_port = static_cast<net::Port>(1000 + i);
+    view.dst_port = (i % 2) ? 53 : 8080;
+    view.proto = net::kIpProtoUdpLite;
+    (*sandboxed)->Evaluate(view, FilterDirection::kIngress);
+    (*trusted)->Evaluate(view, FilterDirection::kIngress);
+  }
+  const sfi::VmStats sandboxed_stats = (*sandboxed)->vm_stats();
+  EXPECT_GT(sandboxed_stats.static_proofs, 0u);
+  EXPECT_LE(sandboxed_stats.static_proofs, sandboxed_stats.bounds_checks);
+  const sfi::VmStats trusted_stats = (*trusted)->vm_stats();
+  EXPECT_EQ(trusted_stats.static_proofs, 0u);
+  EXPECT_EQ(trusted_stats.bounds_checks, 0u);
+}
+
 TEST(PacketFilterTest, TrustedLoadRequiresValidCertificationChain) {
   auto rules = ParseRules("drop dport 23\n");
   ASSERT_TRUE(rules.ok());
