@@ -8,12 +8,19 @@
 //
 // Rows to reproduce: raw call-back < proto-thread (non-blocking) << full
 // thread creation ≈ proto-thread that blocks (promotion).
+//
+// BM_FiberSwitchRoundTrip times the primitive under all of them (two fiber
+// switches), and BM_EventsCalibrate is the fixed integer loop that lets rows
+// recorded on different machines be compared.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
 #include "src/nucleus/event.h"
 #include "src/nucleus/vmem.h"
+#include "src/threads/fiber.h"
 #include "src/threads/popup.h"
 
 namespace {
@@ -129,6 +136,34 @@ void BM_ContextSwitchThroughput(benchmark::State& state) {
   state.counters["switches_per_iter"] = 2.0 * kYields;
 }
 
+void BM_FiberSwitchRoundTrip(benchmark::State& state) {
+  // main -> peer -> main: two switches per iteration, no scheduler.
+  threads::Fiber main_context;
+  threads::Fiber* peer_ptr = nullptr;
+  threads::Fiber peer([&]() {
+    for (;;) {
+      main_context.SwitchFrom(peer_ptr);
+    }
+  });
+  peer_ptr = &peer;
+  for (auto _ : state) {
+    peer.SwitchFrom(&main_context);
+  }
+}
+
+void BM_EventsCalibrate(benchmark::State& state) {
+  for (auto _ : state) {
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < 1000; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      x ^= x >> 29;
+    }
+    benchmark::DoNotOptimize(x);
+  }
+}
+
+BENCHMARK(BM_EventsCalibrate);
+BENCHMARK(BM_FiberSwitchRoundTrip);
 BENCHMARK(BM_DispatchRawCallback);
 BENCHMARK(BM_DispatchProtoThreadNonBlocking);
 BENCHMARK(BM_DispatchFullThread);

@@ -18,6 +18,10 @@
 # (BM_FilterEngineFlowHit/16 and BM_SfiFieldCheckTrusted/256): the
 # instrumented flow-hit and JIT dispatch paths must stay within 1.05x of the
 # pre-telemetry baselines.
+# One more gate holds the pop-up thread fast path: the non-blocking
+# proto-thread dispatch (BM_DispatchProtoThreadNonBlocking, two fiber
+# switches and a pool operation) must stay within 2x of its baseline. A
+# fall back to a syscall-based context switch costs ~13x and fails it.
 # When the checked-in baseline row was recorded on the JIT (its "jit"
 # counter is 1), the gate also REQUIRES the current row to have run on the
 # JIT: a silent fallback to the threaded loop fails the gate rather than
@@ -94,7 +98,8 @@ done
 SFI_BASELINE="bench-baseline/BENCH_sfi_after.json"
 SMOKE_SFI_JSON="$(mktemp /tmp/smoke_sfi.XXXXXX.json)"
 SMOKE_FILTER_JSON="$(mktemp /tmp/smoke_filter.XXXXXX.json)"
-trap 'rm -f "${SMOKE_SFI_JSON}" "${SMOKE_FILTER_JSON}"' EXIT
+SMOKE_EVENTS_JSON="$(mktemp /tmp/smoke_events.XXXXXX.json)"
+trap 'rm -f "${SMOKE_SFI_JSON}" "${SMOKE_FILTER_JSON}" "${SMOKE_EVENTS_JSON}"' EXIT
 if [[ -f "${SFI_BASELINE}" ]] && command -v python3 >/dev/null 2>&1; then
   "${BUILD_DIR}/bench/bench_sfi" \
     --benchmark_filter='^(BM_SfiNullTrusted|BM_SfiFieldCheckTrusted/256|BM_SfiFieldCheckSandboxed(Threaded)?/256|BM_SfiCalibrate)$' \
@@ -168,6 +173,22 @@ if [[ -f "${FILTER_BASELINE}" ]] && command -v python3 >/dev/null 2>&1 &&
   fi
 else
   echo "smoke-bench: filter range gate skipped (no baseline or no python3)"
+fi
+
+# --- pop-up thread dispatch regression gate ----------------------------------
+EVENTS_BASELINE="bench-baseline/BENCH_events_after.json"
+if [[ -f "${EVENTS_BASELINE}" ]] && command -v python3 >/dev/null 2>&1 &&
+   grep -q BM_EventsCalibrate "${EVENTS_BASELINE}"; then
+  "${BUILD_DIR}/bench/bench_events" \
+    --benchmark_filter='^(BM_DispatchProtoThreadNonBlocking|BM_EventsCalibrate)$' \
+    --benchmark_repetitions=5 \
+    --benchmark_out="${SMOKE_EVENTS_JSON}" --benchmark_out_format=json >/dev/null
+  # 2x: a ~75 ns row dominated by two fiber switches; wide enough for
+  # machine noise, far below the ~13x of a signal-mask-saving switch.
+  compare_gate "${EVENTS_BASELINE}" "${SMOKE_EVENTS_JSON}" \
+    BM_DispatchProtoThreadNonBlocking BM_EventsCalibrate 2.0
+else
+  echo "smoke-bench: pop-up dispatch gate skipped (no baseline or no python3)"
 fi
 
 echo "bench smoke OK (${#targets[@]} targets built)"

@@ -72,7 +72,7 @@ void PopupEngine::Dispatch(PopupWork handler, DispatchMode mode, int priority) {
       Thread* saved_current = scheduler_->current_;
       ProtoSlot* saved_proto = scheduler_->current_proto_;
 
-      Fiber dispatcher_context;
+      Fiber dispatcher_context;  // an empty saved-SP slot: costs nothing to build
       raw->return_to = &dispatcher_context;
       scheduler_->current_proto_ = raw;
       raw->fiber->SwitchFrom(&dispatcher_context);

@@ -10,7 +10,13 @@
 // dispatcher; the handler finishes later under normal scheduling.
 //
 // Experiment E5 measures the three dispatch modes this file provides:
-// kRawCallback < kProtoThread (non-blocking case) < kFullThread.
+// kRawCallback < kProtoThread (non-blocking case) < kFullThread. Medians in
+// bench_events (Release, 4-vCPU x86-64, bench-baseline/BENCH_events_*.json),
+// ucontext switch → register-only switch: raw call-back 18–28 ns either way
+// (no switch); proto-thread, non-blocking 742 → 69 ns; full thread 1085 →
+// 262 ns. The ucontext switch saved the signal mask with a system call on
+// every switch, which made a non-blocking pop-up ~40× a raw call-back; it
+// is now ~4×, two fiber switches (a 36 ns round trip) plus the pool step.
 #ifndef PARAMECIUM_SRC_THREADS_POPUP_H_
 #define PARAMECIUM_SRC_THREADS_POPUP_H_
 
