@@ -36,12 +36,15 @@ BUILD_DIR="${1:-build}"
 compare_gate() {
   python3 - "$1" "$2" "$3" "$4" "$5" <<'PY'
 import json
+import subprocess
 import sys
 
-def rows(path, name):
-    doc = json.load(open(path))
+def rows_in(doc, name):
     return [b for b in doc["benchmarks"]
             if b["name"] == name and b.get("run_type", "iteration") != "aggregate"]
+
+def rows(path, name):
+    return rows_in(json.load(open(path)), name)
 
 def best(path, name):
     times = [b["real_time"] for b in rows(path, name)]
@@ -74,6 +77,39 @@ verdict = "OK" if cur_gated <= allowed else "REGRESSION"
 print(f"smoke-bench gate: {gated} {cur_gated:.2f}ns "
       f"(baseline {base_gated:.2f}ns x machine-scale {scale:.2f} x {limit} "
       f"= allowed {allowed:.2f}ns) -> {verdict}")
+
+def first_recording():
+    # Each re-recording of a baseline file moves the gate's reference point;
+    # the row's FIRST recording (oldest commit of the file that has it),
+    # scaled to this machine by that commit's own calibration row, shows how
+    # far the row has drifted since. Informational only: no verdict.
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=True).stdout
+    try:
+        if git("rev-parse", "--is-shallow-repository").strip() != "false":
+            return "history unavailable"
+        commits = git("log", "--reverse", "--format=%H", "--", baseline).split()
+    except (OSError, subprocess.CalledProcessError):
+        return "history unavailable"
+    for commit in commits:
+        try:
+            doc = json.loads(git("show", f"{commit}:./{baseline}"))
+        except (subprocess.CalledProcessError, ValueError):
+            continue
+        first = [b["real_time"] for b in rows_in(doc, gated)]
+        if not first:
+            continue
+        head = f"first recorded {min(first):.2f}ns at {commit[:12]}"
+        cal = [b["real_time"] for b in rows_in(doc, calibrate)]
+        if not cal:
+            return f"{head} (uncalibrated)"
+        scaled = min(first) * cur_cal / min(cal)
+        return (f"{head} = {scaled:.2f}ns on this machine, "
+                f"drift {cur_gated / scaled:.2f}x")
+    return "history unavailable"
+
+print(f"smoke-bench history: {gated} {first_recording()}")
 if cur_gated > allowed:
     raise SystemExit(f"smoke-bench: {gated} regressed past {limit}x vs {baseline}")
 PY

@@ -75,15 +75,12 @@ uint64_t PacketFilter::NowHelper(void* ctx, uint64_t) {
   if (self->config_.clock != nullptr) {
     return self->config_.clock->now();
   }
-  // No clock configured: fall back to the evaluation counter — summed across
-  // shards so the value is still monotonic under sharding — which at least
-  // is deterministic (a ratelimit procedure then only ever grants its
-  // initial burst; real rates need a real clock).
-  uint64_t evaluated = 0;
-  for (const std::unique_ptr<Shard>& s : self->shards_) {
-    evaluated += s->stats.evaluated;
-  }
-  return evaluated;
+  // No clock configured: fall back to this shard's evaluation counter, which
+  // at least is deterministic and monotonic for the shard's own procedures
+  // (a ratelimit then refills per packet the shard evaluates; real rates
+  // need a real clock). Only the calling shard's counter: another shard's
+  // is written concurrently by that shard's worker.
+  return shard->stats.evaluated;
 }
 
 uint64_t PacketFilter::RandomHelper(void* ctx, uint64_t modulus) {
@@ -246,13 +243,6 @@ Status PacketFilter::Install(const CompiledFilter& compiled,
   for (size_t s = 0; s < shards_.size(); ++s) {
     auto exec = std::make_unique<ShardExec>(gen->program.get(), mode);
     exec->chains = std::move(chains[s]);
-    // Provision the descriptor-slot region BEFORE publication: batch chunks
-    // re-base guest address 0 onto slots [0, kMaxFilterBatch *
-    // kFilterBatchSlot). The size keeps the VM's power-of-two-plus-slack
-    // memory invariant.
-    if (exec->vm.memory().size() < kMaxFilterBatch * kFilterBatchSlot + 8) {
-      exec->vm.memory().resize(kMaxFilterBatch * kFilterBatchSlot + 8, 0);
-    }
     gen->shards.push_back(std::move(exec));
   }
 
@@ -393,7 +383,7 @@ uint64_t PacketFilter::Classify(Shard& shard, LoadedProgram& gen, const net::Pac
   // On sampled packets the pipeline stages mark their completion in the
   // trace ring, inside the enclosing "filter.classify" span.
   const bool traced = telemetry::kEnabled && shard.trace_sample_active;
-  if (!WritePacketDescriptor(view, vm.memory(), gen.payload_bytes_needed)) {
+  if (!WritePacketDescriptor(view, vm.slot(0), gen.payload_bytes_needed)) {
     // The VM memory cannot hold the descriptor. Running anyway would
     // classify whatever descriptor is still in memory — the *previous*
     // packet. Fail closed instead.
@@ -470,7 +460,7 @@ void PacketFilter::RunChain(Shard& shard, LoadedProgram& gen, FilterDecision* de
     // Re-marshal the descriptor each run (header fields only — procedures do
     // not see payload). Everything past kProcStateBase is the procedure's
     // persistent state and survives untouched.
-    if (!WritePacketDescriptor(view, proc->vm.memory(), /*payload_bytes=*/0)) {
+    if (!WritePacketDescriptor(view, proc->vm.slot(0), /*payload_bytes=*/0)) {
       ++shard.stats.proc_faults;
       ++proc->faults;
       decision->verdict = FilterVerdict::kDrop;
@@ -664,31 +654,29 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   // interleaved with every VM entry. Failures are deferred: the single-packet
   // path only counts a descriptor fault when the classifier actually runs
   // (a flow hit never marshals), so the batch path must too. Single-shard
-  // chunks (every steered per-RX-queue burst) hoist the slot base out of the
-  // loop — the general walk re-derives it per packet through the shard table.
+  // chunks (every steered per-RX-queue burst) hoist the Vm out of the loop —
+  // the general walk re-derives it per packet through the shard table.
   const bool single_shard = (touched & (touched - 1)) == 0;
   const size_t s0 = static_cast<size_t>(std::countr_zero(touched));
   uint64_t marshal_failed = 0;
   if (single_shard) {
-    uint8_t* const slots = gen.shards[s0]->vm.memory().data();
+    sfi::Vm& vm = gen.shards[s0]->vm;
     for (size_t i = 0; i < n; ++i) {
-      std::span<uint8_t> slot(slots + i * kFilterBatchSlot, kFilterBatchSlot);
-      if (!WritePacketDescriptor(views[i], slot, gen.payload_bytes_needed)) {
+      if (!WritePacketDescriptor(views[i], vm.slot(i), gen.payload_bytes_needed)) {
         marshal_failed |= uint64_t{1} << i;
       }
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      sfi::Vm& vm = gen.shards[shard_of[i]]->vm;
-      std::span<uint8_t> slot(vm.memory().data() + i * kFilterBatchSlot, kFilterBatchSlot);
-      if (!WritePacketDescriptor(views[i], slot, gen.payload_bytes_needed)) {
+      if (!WritePacketDescriptor(views[i], gen.shards[shard_of[i]]->vm.slot(i),
+                                 gen.payload_bytes_needed)) {
         marshal_failed |= uint64_t{1} << i;
       }
     }
   }
 
-  // One Vm::Burst per touched shard, opened lazily: JitContext invariants
-  // written once, VmStats/telemetry flushed once, entered once per packet.
+  // One Vm::Burst per touched shard, opened lazily: VmStats/telemetry
+  // flushed once, entered once per packet.
   std::optional<sfi::Vm::Burst> bursts[kMaxFilterShards];
 
   // Single-shard, flow-tracking-off chunks (the steered per-RX-queue shape)
@@ -704,7 +692,7 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   if (!config_.track_flows && marshal_failed == 0 && single_shard) {
     uint64_t vm_pairs[2 * kMaxFilterBatch];
     bursts[s0].emplace(gen.shards[s0]->vm.BeginBurst(0));
-    if (bursts[s0]->CallMany(0, kFilterBatchSlot, n, vm_pairs)) {
+    if (bursts[s0]->CallMany(0, n, vm_pairs)) {
       Shard& shard = *shards_[s0];
       for (size_t i = 0; i < n; ++i) {
         // track_flows is off, so EvaluateOn can never take the synthetic
@@ -742,9 +730,7 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
             // Stale-epoch reverse re-decide: overwrite this packet's slot
             // with the synthetic forward view (the original descriptor is
             // never consulted again on this path).
-            std::span<uint8_t> slot(exec.vm.memory().data() + i * kFilterBatchSlot,
-                                    kFilterBatchSlot);
-            if (!WritePacketDescriptor(v, slot, gen.payload_bytes_needed)) {
+            if (!WritePacketDescriptor(v, exec.vm.slot(i), gen.payload_bytes_needed)) {
               ++shard.stats.descriptor_faults;
               return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
             }
@@ -752,7 +738,7 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
             ++shard.stats.descriptor_faults;
             return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
           }
-          Result<uint64_t> run = burst->Call(i * kFilterBatchSlot);
+          Result<uint64_t> run = burst->Call(i);
           if (!run.ok()) {
             ++shard.stats.vm_faults;
             return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);

@@ -52,6 +52,7 @@
 #include "src/nucleus/cert.h"
 #include "src/nucleus/event.h"
 #include "src/obj/object.h"
+#include "src/sfi/analysis.h"
 #include "src/sfi/program_cache.h"
 #include "src/sfi/vm.h"
 
@@ -184,17 +185,15 @@ inline constexpr std::string_view kFilterStatsSlotNames[] = {
 };
 
 // Sharded data-plane limits. kMaxFilterShards bounds the steering set the
-// batch path tracks in one machine word; the batch constants fix the
-// descriptor-slot layout every shard Vm's memory is provisioned for: a burst
-// chunk marshals up to kMaxFilterBatch descriptors side by side at
-// kFilterBatchSlot-byte stride, then evaluates each by re-basing guest
-// address 0 onto its slot (one VM burst per shard per chunk, amortizing
-// JitContext setup and the native prologue across the burst).
+// batch path tracks in one machine word. Every shard's classifier Vm is
+// built with kMaxFilterBatch slots: a burst chunk marshals up to
+// kMaxFilterBatch descriptors, packet i into slot i, then evaluates each
+// over its own window (one VM burst per shard per chunk, amortizing the
+// native prologue across the burst). A slot is the Vm's window for the
+// compiled classifier, whose declared memory is one descriptor.
 inline constexpr size_t kMaxFilterShards = 64;
 inline constexpr size_t kMaxFilterBatch = net::kBurstChunk;  // packets per burst chunk
-inline constexpr size_t kFilterBatchSlot = 256;  // bytes per descriptor slot
-static_assert(kFilterBatchSlot >= kDescriptorBytes,
-              "a descriptor (header fields + payload capture) must fit its slot");
+inline constexpr size_t kFilterBatchSlot = sfi::analysis::UsableMemorySize(kDescriptorBytes);
 
 class PacketFilter : public obj::Object {
  public:
@@ -333,7 +332,8 @@ class PacketFilter : public obj::Object {
   // and its one compiled JitProgram) plus the shard's procedure-chain
   // instances with their persistent per-shard VM state.
   struct ShardExec {
-    ShardExec(const sfi::VerifiedProgram* p, sfi::ExecMode mode) : vm(p, mode) {}
+    ShardExec(const sfi::VerifiedProgram* p, sfi::ExecMode mode)
+        : vm(p, mode, sfi::VmBackend::kAuto, kMaxFilterBatch) {}
     sfi::Vm vm;
     std::vector<ProcChain> chains;  // chains[i] backs chain id i+1
   };

@@ -319,7 +319,6 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
           if (ProvablyInBounds(addr, width, limit)) {
             out->elide[i] = 1;
             ++out->elided_accesses;
-            out->elide_floor = std::max(out->elide_floor, addr.hi + width);
           }
         }
         Push(s, LoadResult(width));
@@ -339,7 +338,6 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
           if (ProvablyInBounds(addr, width, limit)) {
             out->elide[i] = 1;
             ++out->elided_accesses;
-            out->elide_floor = std::max(out->elide_floor, addr.hi + width);
           }
         }
         break;
@@ -390,7 +388,6 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
             if (ProvablyInBounds(addr, width, limit)) {
               out->elide[i] = 1;
               ++out->elided_accesses;
-              out->elide_floor = std::max(out->elide_floor, addr.hi + width);
             }
           }
           Push(s, LoadResult(width));

@@ -21,9 +21,8 @@
 //
 // What the results are used for (verifier.cc applies them):
 //  * accesses whose address interval provably fits the declared memory size
-//    are rewritten to the check-free elided opcodes (verified_program.h),
-//    with `elide_floor` recording the assumption the run-time re-checks once
-//    per run;
+//    are rewritten to the check-free elided opcodes (verified_program.h);
+//    every Vm window is exactly that size, so the proof holds for every run;
 //  * a REACHABLE access that provably faults on every execution — or a
 //    divide whose divisor is provably zero — rejects the program at verify
 //    time with the same Status code the run-time fault would have produced;
@@ -46,9 +45,9 @@ namespace para::sfi::analysis {
 inline constexpr uint32_t kStackSlots = 1024;
 
 // The usable sandboxed memory size a program with `memory_bytes` declared
-// bytes runs against: the Vm rounds up to a power of two and keeps 8 slack
-// bytes outside the checked window. Mirrors Vm's constructor; vm.cc
-// static_asserts on a representative value.
+// bytes runs against: declared bytes rounded up to a power of two. The Vm
+// sizes every window with this function and keeps 8 slack bytes outside
+// the checked windows, so a proof against this size holds for every run.
 constexpr uint64_t UsableMemorySize(uint64_t memory_bytes) {
   uint64_t p = 1;
   while (p < memory_bytes) {
@@ -126,7 +125,6 @@ struct ProgramAnalysis {
   std::vector<uint8_t> elide;       // access provably in-bounds: use elided op
   std::vector<uint8_t> drop_check;  // kCheckStack implied by every predecessor
   std::vector<uint8_t> reachable;   // some entry point can reach this slot
-  uint64_t elide_floor = 0;         // max addr+width among elided accesses
   size_t elided_accesses = 0;
   size_t dropped_stack_checks = 0;
   size_t unreachable_insns = 0;     // real (metered) instructions, fused = 2

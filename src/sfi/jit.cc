@@ -6,6 +6,7 @@
 
 #include "src/base/log.h"
 #include "src/base/telemetry.h"
+#include "src/sfi/analysis.h"
 #include "src/sfi/isa.h"
 
 // The backend is x86-64-only by design (ROADMAP names it the reference
@@ -86,8 +87,6 @@ constexpr int32_t kOffCallSp = offsetof(JitContext, call_sp);
 constexpr int32_t kOffCallStack = offsetof(JitContext, call_stack);
 constexpr int32_t kOffStack = offsetof(JitContext, stack);
 constexpr int32_t kOffBurstMem = offsetof(JitContext, burst_mem);
-constexpr int32_t kOffBurstMemSize = offsetof(JitContext, burst_mem_size);
-constexpr int32_t kOffBurstStride = offsetof(JitContext, burst_stride);
 constexpr int32_t kOffBurstCount = offsetof(JitContext, burst_count);
 constexpr int32_t kOffBurstFuel = offsetof(JitContext, burst_fuel);
 constexpr int32_t kOffBurstOut = offsetof(JitContext, burst_out);
@@ -379,9 +378,9 @@ class Emitter {
 struct Stubs {
   size_t exit_common;  // rax = fault code; flushes r15, restores, returns
   size_t ret_zero;     // clean return with result 0 (halt / outermost ret)
-  size_t fault[11];    // indexed by JitFault
+  size_t fault[10];    // indexed by JitFault
 };
-constexpr int kNumFaults = static_cast<int>(JitFault::kElideFloorMiss) + 1;
+constexpr int kNumFaults = static_cast<int>(JitFault::kPcOutOfCode) + 1;
 static_assert(kNumFaults == sizeof(Stubs::fault) / sizeof(size_t),
               "one stub per JitFault value");
 
@@ -497,14 +496,14 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
       continue;
     }
     // Elided accesses: the verifier's static analyzer proved these in-bounds
-    // for every memory window >= program.elide_floor (the entry stub rejects
-    // smaller windows before running), so sandboxed code skips the range
-    // test. The access is still charged: each elided site bumps ONLY
-    // ctx->static_proofs — one counter RMW, same cost as the checked site's
-    // bounds_checks bump — and the host folds static_proofs into
-    // bounds_checks at flush time, so the coverage count is bit-identical
-    // with analyze=false. Metering is untouched: fuel boundaries cannot
-    // move. Trusted code is identical to the unelided trusted template.
+    // for the program's window size, which is every run's mem_size, so
+    // sandboxed code skips the range test. The access is still charged:
+    // each elided site bumps ONLY ctx->static_proofs — one counter RMW, same
+    // cost as the checked site's bounds_checks bump — and the host folds
+    // static_proofs into bounds_checks at flush time, so the coverage count
+    // is bit-identical with analyze=false. Metering is untouched: fuel
+    // boundaries cannot move. Trusted code is identical to the unelided
+    // trusted template.
     if (op >= kOpLoad8Elided && op <= kOpLoad64Elided) {
       const size_t width = size_t{1} << (op - kOpLoad8Elided);
       Meter(e, sandboxed, stubs);
@@ -829,29 +828,18 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
       e.MovRegMem(kR14, kRbx, kNoIndex, 0, kOffFuel);
     }
     e.XorReg32(kR15);
-    if (sandboxed && program.elide_floor > 0) {
-      // Elision soundness gate: the analyzer's proofs assumed at least
-      // elide_floor usable bytes. A run over a smaller window (shrunk
-      // memory(), deep burst re-base) bails out to the host before executing
-      // anything; the host re-runs it on the checked interpreter.
-      // CmpRegImm is imm32-only, so the floor goes through rcx.
-      e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffMemSize);
-      e.MovRegImm(kRcx, program.elide_floor);
-      e.CmpRegReg(kRax, kRcx);
-      e.JccTo(kCcB, stubs.fault[static_cast<int>(JitFault::kElideFloorMiss)]);
-    }
     e.JmpTo(insn_off[entry]);
   }
 
   // ---- burst trampolines (one per method slot) ----
-  // The batch-entry ABI: loops the method over ctx->burst_count descriptor
-  // slots entirely in native code. Per slot it re-bases ctx.mem/mem_size
-  // (the window shrinks in step with the base, exactly like a loop of
-  // re-based single runs; the host guarantees every slot sits under the
-  // bounds slack so the size cursor cannot wrap), re-arms the fuel budget,
-  // zeroes the call stack, calls the method's entry stub, and stores the
-  // [result, fault] pair. Each entry run starts from the same context state
-  // a single run would have written, so metering is bit-identical per slot.
+  // The batch-entry ABI: loops the method over ctx->burst_count adjacent
+  // windows entirely in native code. Per window it points ctx.mem at the
+  // window (mem_size is already the window size, and the stride is the same
+  // compile-time constant), re-arms the fuel budget, zeroes the call stack,
+  // calls the method's entry stub, and stores the [result, fault] pair. Each
+  // entry run starts from the same context state a single run would have
+  // written, so metering is bit-identical per window.
+  const uint64_t window = analysis::UsableMemorySize(program.program.memory_bytes);
   std::vector<uint32_t> burst_offsets;
   burst_offsets.reserve(program.entry_points.size());
   for (size_t m = 0; m < program.entry_points.size(); ++m) {
@@ -864,8 +852,8 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.PushReg(kR15);
     e.SubRegImm8(4 /*rsp*/, 8);  // entry stubs expect C++-caller alignment
     e.MovRegReg(kRbx, kRdi);
-    e.MovRegMem(kRbp, kRbx, kNoIndex, 0, kOffBurstMem);      // slot base cursor
-    e.MovRegMem(kR12, kRbx, kNoIndex, 0, kOffBurstMemSize);  // slot size cursor
+    e.MovRegMem(kRbp, kRbx, kNoIndex, 0, kOffBurstMem);  // window base cursor
+    e.MovRegImm(kR12, window);                           // stride
     e.MovRegMem(kR13, kRbx, kNoIndex, 0, kOffBurstOut);
     e.MovRegMem(kR14, kRbx, kNoIndex, 0, kOffBurstCount);
     e.XorReg32(kR15);  // burst-total instructions retired
@@ -873,7 +861,6 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     const size_t skip = e.JccPlaceholder(kCcE);
     const size_t loop_top = e.pos();
     e.MovMemReg(kRbx, kNoIndex, 0, kOffMem, kRbp);
-    e.MovMemReg(kRbx, kNoIndex, 0, kOffMemSize, kR12);
     if (sandboxed) {
       e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffBurstFuel);
       e.MovMemReg(kRbx, kNoIndex, 0, kOffFuel, kRax);
@@ -885,8 +872,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffResult);
     e.MovMemReg(kR13, kNoIndex, 0, 0, kRax);            // pair.result
     e.AluRegMem(0x03, kR15, kRbx, kOffInstructions);    // += this run's retire count
-    e.AluRegMem(0x03, kRbp, kRbx, kOffBurstStride);     // next slot base
-    e.AluRegMem(0x2B, kR12, kRbx, kOffBurstStride);     // window shrinks in step
+    e.Lea(kRbp, kRbp, kR12, 1, 0);                      // next window base
     e.AddRegImm8(kR13, 16);
     e.SubRegImm8(kR14, 1);
     e.JccTo(kCcNE, loop_top);

@@ -37,8 +37,8 @@ namespace para::sfi {
 // emitted instructions, so fields here may be appended but not reordered.
 struct JitContext {
   uint64_t args[4];
-  uint8_t* mem;            // VM data memory base
-  uint64_t mem_size;       // usable bytes (power of two, slack excluded)
+  uint8_t* mem;            // guest address 0: the base of the run's window
+  uint64_t mem_size;       // window bytes (power of two, slack excluded)
   uint64_t fuel;           // sandboxed budget for this run
   // Counter deltas for this run: the host adds them into VmStats afterwards
   // (instructions is written by the generated epilogue; the others are
@@ -56,12 +56,11 @@ struct JitContext {
   uint64_t stack[Vm::kStackSlots];  // operand stack
   // Batch-entry block (burst trampoline ABI; see JitProgram::RunBurst): the
   // host writes these once per burst, then the generated trampoline loops
-  // the method over `burst_count` descriptor slots without returning to C++
-  // between packets.
-  uint8_t* burst_mem;       // slot 0 guest base
-  uint64_t burst_mem_size;  // usable bytes at slot 0 (bounds slack excluded)
-  uint64_t burst_stride;    // bytes from one slot base to the next
-  uint64_t burst_count;     // slots to evaluate
+  // the method over `burst_count` adjacent windows without returning to C++
+  // between packets. The stride between windows is mem_size, a constant the
+  // trampoline has compiled in.
+  uint8_t* burst_mem;       // first window's base
+  uint64_t burst_count;     // windows to evaluate
   uint64_t burst_fuel;      // per-slot fuel budget (sandboxed runs re-arm it)
   uint64_t* burst_out;      // interleaved [result, fault] pairs, 2 per slot
   // Statically discharged subset of bounds_checks (elided opcodes),
@@ -83,12 +82,6 @@ enum class JitFault : uint64_t {
   kCallDepth,
   kUnboundHostHelper,
   kPcOutOfCode,
-  // Not a guest fault: the sandboxed entry stub raises it when ctx->mem_size
-  // is below the program's elide_floor, before executing anything. The host
-  // dispatchers intercept it and re-run on the checked interpreter (and
-  // Vm::Burst::CallMany prechecks the layout so burst trampolines never see
-  // it).
-  kElideFloorMiss,
 };
 
 // An immutable compiled program: executable code in a W^X mmap buffer plus
@@ -112,13 +105,12 @@ class JitProgram {
     return static_cast<JitFault>(fn(ctx));
   }
 
-  // Enters `method`'s burst trampoline: evaluates ctx->burst_count slots as
-  // the burst_* fields describe, leaving [result, fault] pairs in
+  // Enters `method`'s burst trampoline: evaluates ctx->burst_count windows
+  // as the burst_* fields describe, leaving [result, fault] pairs in
   // ctx->burst_out and the burst's total retired-instruction count in
-  // ctx->instructions. Per slot this is bit-identical to Run() over the
-  // re-based window — Vm::Burst::CallMany is the only caller and owns the
-  // layout preconditions (notably that every slot fits under the bounds
-  // slack, so the trampoline's shrinking size cursor cannot wrap).
+  // ctx->instructions. Per window this is bit-identical to Run() over that
+  // window — Vm::Burst::CallMany is the only caller and owns the layout
+  // precondition that every window lies inside the Vm's memory.
   void RunBurst(size_t method, JitContext* ctx) const {
     using Fn = uint64_t (*)(JitContext*);
     auto fn =

@@ -68,10 +68,10 @@ inline constexpr uint8_t kOpFusedGtUJnz = kOpEndOfCode + 12;
 // program's declared memory size. Sandboxed dispatch of an elided op performs
 // the access with no range test but still charges `bounds_checks` (the access
 // is guarded — statically) plus `static_proofs` (how it was discharged), so
-// VmStats are identical whether or not the analyzer ran. The proof assumed
-// `mem_size >= VerifiedProgram::elide_floor`; both backends re-check that
-// single inequality per run and fall back to the checked variants when an
-// embedder shrank the window (Burst re-basing, a shrunk memory()).
+// VmStats are identical whether or not the analyzer ran. The proof needs no
+// run-time re-check: a Vm fixes every window it runs a program over at
+// exactly the size the analyzer assumed (vm.h), so the load-time proof holds
+// for every run.
 inline constexpr uint8_t kOpLoad8Elided = kOpFusedGtUJnz + 1;
 inline constexpr uint8_t kOpLoad16Elided = kOpFusedGtUJnz + 2;
 inline constexpr uint8_t kOpLoad32Elided = kOpFusedGtUJnz + 3;
@@ -86,10 +86,9 @@ inline constexpr uint8_t kOpFusedPushLoad32Elided = kOpFusedGtUJnz + 11;
 inline constexpr uint8_t kOpFusedPushLoad64Elided = kOpFusedGtUJnz + 12;
 inline constexpr size_t kDecodedOpCount = kOpFusedPushLoad64Elided + 1;
 
-// Elided <-> checked opcode mapping. The operand layout of each elided op is
-// identical to its checked original, so a backend that cannot honour the
-// elision this run (mem_size below the floor) dispatches the checked handler
-// on the same DecodedInsn.
+// Checked -> elided opcode mapping. The operand layout of each elided op is
+// identical to its checked original, so the verifier rewrites the opcode in
+// place.
 constexpr uint8_t ElidedOpOf(uint8_t op) {
   if (op >= static_cast<uint8_t>(Op::kLoad8) && op <= static_cast<uint8_t>(Op::kLoad64)) {
     return static_cast<uint8_t>(kOpLoad8Elided + (op - static_cast<uint8_t>(Op::kLoad8)));
@@ -101,18 +100,6 @@ constexpr uint8_t ElidedOpOf(uint8_t op) {
     return static_cast<uint8_t>(kOpFusedPushLoad8Elided + (op - kOpFusedPushLoad8));
   }
   return op;  // not an elidable access
-}
-constexpr uint8_t UnelidedOpOf(uint8_t op) {
-  if (op >= kOpLoad8Elided && op <= kOpLoad64Elided) {
-    return static_cast<uint8_t>(static_cast<uint8_t>(Op::kLoad8) + (op - kOpLoad8Elided));
-  }
-  if (op >= kOpStore8Elided && op <= kOpStore64Elided) {
-    return static_cast<uint8_t>(static_cast<uint8_t>(Op::kStore8) + (op - kOpStore8Elided));
-  }
-  if (op >= kOpFusedPushLoad8Elided && op <= kOpFusedPushLoad64Elided) {
-    return static_cast<uint8_t>(kOpFusedPushLoad8 + (op - kOpFusedPushLoad8Elided));
-  }
-  return op;
 }
 
 // One pre-decoded instruction. 16 bytes, fixed width.
@@ -158,13 +145,6 @@ struct VerifiedProgram {
   VerifyReport report;
   bool fused = false;  // whether the superinstruction pass ran (VerifyOptions)
   bool analyzed = false;  // whether the static-analysis pass ran (VerifyOptions)
-
-  // Minimum usable mem_size the analyzer's in-bounds proofs assumed: the
-  // largest `addr + width` among elided accesses (0 when nothing was elided).
-  // A run whose sandboxed window is smaller — a shrunk memory(), a Burst
-  // re-base deep into the arena — dispatches the checked variants instead;
-  // behaviour is identical either way, only `static_proofs` stops counting.
-  uint64_t elide_floor = 0;
 
   // Native code compiled lazily from `code` (jit.h), one slot per ExecMode.
   // A shared_ptr (not a plain member) because VerifiedProgram is movable and

@@ -317,7 +317,6 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
     report.dropped_stack_checks = facts.dropped_stack_checks;
     report.unreachable_insns = facts.unreachable_insns;
     out.analyzed = true;
-    out.elide_floor = facts.elide_floor;
   }
 
   out.report = report;

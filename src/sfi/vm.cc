@@ -22,24 +22,13 @@ namespace para::sfi {
 
 namespace {
 
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-// The static analyzer works from mirrored copies of this engine's limits
-// (analysis.h cannot include vm.h — the verifier sits below the VM in the
-// layer DAG). An in-bounds or stack-envelope proof is only sound if the
-// mirrors agree with the real constants, so pin them here.
+// The static analyzer works from a mirrored copy of this engine's stack
+// limit (analysis.h cannot include vm.h — the verifier sits below the VM in
+// the layer DAG). A stack-envelope proof is only sound if the mirror agrees
+// with the real constant, so pin it here. (Window sizes need no mirror: the
+// constructor sizes them with the analyzer's own UsableMemorySize.)
 static_assert(analysis::kStackSlots == Vm::kStackSlots,
               "analyzer stack-envelope proofs assume the VM stack size");
-static_assert(analysis::UsableMemorySize(1) == 1 && analysis::UsableMemorySize(216) == 256 &&
-                  analysis::UsableMemorySize(4096) == 4096 &&
-                  analysis::UsableMemorySize(4097) == 8192,
-              "analyzer bounds proofs assume the VM memory rounding");
 
 [[maybe_unused]] constexpr uint8_t OpIndex(Op op) { return static_cast<uint8_t>(op); }
 [[maybe_unused]] constexpr uint8_t OpIndex(uint8_t raw) { return raw; }
@@ -68,28 +57,24 @@ Status JitFaultToStatus(JitFault fault) {
       return Status(ErrorCode::kFailedPrecondition, "unbound host helper");
     case JitFault::kPcOutOfCode:
       return Status(ErrorCode::kOutOfRange, "pc out of code");
-    case JitFault::kElideFloorMiss:
-      // Raised by the sandboxed entry stub when mem_size dropped below the
-      // analyzer's elide_floor. Every caller intercepts it and re-runs on
-      // the checked interpreter before mapping faults; reaching here is a
-      // dispatcher bug, not a guest fault.
-      return Status(ErrorCode::kInternal, "jit: elide floor miss escaped fallback");
   }
   return Status(ErrorCode::kInternal, "jit: bad fault code");
 }
 
 }  // namespace
 
-Vm::Vm(const VerifiedProgram* program, ExecMode mode, VmBackend backend)
-    // Power-of-two size so trusted mode can mask addresses; +8 bytes of slack
-    // so a masked address near the top can still take a full-width access
-    // without a range branch on the hot path.
+Vm::Vm(const VerifiedProgram* program, ExecMode mode, VmBackend backend, size_t slots)
+    // Power-of-two windows so trusted mode can mask addresses; +8 bytes of
+    // slack so a masked address near the top of the last window can still
+    // take a full-width access without a range branch on the hot path.
     : program_(program),
       mode_(mode),
       backend_(backend == VmBackend::kThreaded || !JitAvailable() ? VmBackend::kThreaded
                                                                   : VmBackend::kJit),
-      memory_(RoundUpPow2(program->program.memory_bytes) + 8, 0) {
-  PARA_CHECK(program != nullptr);
+      window_(analysis::UsableMemorySize(program->program.memory_bytes)),
+      slots_(slots),
+      memory_(slots * window_ + 8, 0) {
+  PARA_CHECK(slots >= 1);
 }
 
 Vm::~Vm() = default;
@@ -174,18 +159,12 @@ JitContext& Vm::JitCtx() {
     // writes are visible without re-publishing.
     jit_ctx_->helpers = host_helpers_;
     jit_ctx_->helper_ctx = host_ctx_;
+    // Memory never moves, so slot 0's window is invariant too; a burst that
+    // points ctx.mem at other slots restores it when it closes.
+    jit_ctx_->mem = memory_.data();
+    jit_ctx_->mem_size = window_;
   }
-  JitContext& ctx = *jit_ctx_;
-  // memory() is a mutable accessor: refresh the base/size only when the
-  // vector moved or was resized. Same saturation as RunImpl — never let
-  // mem_size wrap (a wrapped size would disable every sandbox bounds check).
-  if (memory_.data() != jit_mem_base_ || memory_.size() != jit_mem_bytes_) [[unlikely]] {
-    jit_mem_base_ = memory_.data();
-    jit_mem_bytes_ = memory_.size();
-    ctx.mem = jit_mem_base_;
-    ctx.mem_size = jit_mem_bytes_ < 8 ? 0 : jit_mem_bytes_ - 8;
-  }
-  return ctx;
+  return *jit_ctx_;
 }
 
 Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3) {
@@ -212,16 +191,6 @@ Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2
   ctx.call_sp = 0;
 
   const JitFault fault = jit_->Run(method, &ctx);
-
-  if (fault == JitFault::kElideFloorMiss) [[unlikely]] {
-    // The sandboxed entry stub found mem_size below the analyzer's
-    // elide_floor before executing anything (no counters moved, nothing
-    // retired): this run cannot honour the elisions, so serve it with the
-    // checked interpreter, whose dispatch re-routes elided opcodes to their
-    // checked handlers. Metering and stats are identical; only
-    // static_proofs stops counting — and jit_runs, honestly, does not tick.
-    return RunImpl<true>(method, a0, a1, a2, a3, 0);
-  }
 
   // Counter deltas land in stats_ on every exit, fault or clean — the same
   // contract as the interpreter's CounterFlush destructor.
@@ -274,7 +243,7 @@ Vm::Burst::~Burst() {
   if (vm_ == nullptr) {
     return;  // moved-from
   }
-  if (jit_ && jit_runs_ > 0) {
+  if (jit_) {
     JitContext& ctx = *vm_->jit_ctx_;
     vm_->stats_.instructions += instructions_;
     vm_->stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
@@ -282,9 +251,8 @@ Vm::Burst::~Burst() {
     vm_->stats_.calls += ctx.calls;
     vm_->stats_.host_calls += ctx.host_calls;
     vm_->stats_.jit_runs += jit_runs_;
-    // ctx.mem was re-based per call: clear the cache key so the next
-    // single-run path re-publishes the true base and full size.
-    vm_->jit_mem_base_ = nullptr;
+    // Calls pointed ctx.mem at their slots; Run() expects slot 0.
+    ctx.mem = vm_->memory_.data();
   }
   if constexpr (telemetry::kEnabled) {
     if (runs_ > 0) {
@@ -294,42 +262,27 @@ Vm::Burst::~Burst() {
   }
 }
 
-Result<uint64_t> Vm::Burst::Call(size_t mem_off, uint64_t a0) {
+Result<uint64_t> Vm::Burst::Call(size_t slot, uint64_t a0) {
   if (!valid_) {
     return Status(ErrorCode::kNotFound, "no such entry point");
   }
-  PARA_CHECK(mem_off <= vm_->memory_.size());
+  PARA_CHECK(slot < vm_->slots_);
   ++runs_;
   if (!jit_) {
     // Threaded backend: RunImpl flushes its own counters per call; only the
-    // descriptor re-base differs from a plain Run().
+    // slot differs from a plain Run().
     if (vm_->mode_ == ExecMode::kSandboxed) {
-      return vm_->RunImpl<true>(method_, a0, 0, 0, 0, mem_off);
+      return vm_->RunImpl<true>(method_, a0, 0, 0, 0, slot);
     }
-    return vm_->RunImpl<false>(method_, a0, 0, 0, 0, mem_off);
+    return vm_->RunImpl<false>(method_, a0, 0, 0, 0, slot);
   }
   JitContext& ctx = *vm_->jit_ctx_;
   ctx.args[0] = a0;
-  // Re-base guest address 0 onto the descriptor slot; sandboxed bounds
-  // shrink by the same offset (saturating, as everywhere).
-  ctx.mem = vm_->memory_.data() + mem_off;
-  const size_t bytes = vm_->memory_.size();
-  ctx.mem_size = (bytes < 8 || bytes - 8 < mem_off) ? 0 : bytes - 8 - mem_off;
+  ctx.mem = vm_->memory_.data() + slot * vm_->window_;  // mem_size is the window already
   ctx.fuel = vm_->fuel_;
   ctx.call_sp = 0;
 
   const JitFault fault = vm_->jit_->Run(method_, &ctx);
-  if (fault == JitFault::kElideFloorMiss) [[unlikely]] {
-    // Re-based window below the analyzer's elide_floor: this call must take
-    // the checked interpreter (nothing ran, no counters moved). The context
-    // was re-based above and the destructor's cache-key clear only fires
-    // after a served JIT run, so clear it here.
-    vm_->jit_mem_base_ = nullptr;
-    if (vm_->mode_ == ExecMode::kSandboxed) {
-      return vm_->RunImpl<true>(method_, a0, 0, 0, 0, mem_off);
-    }
-    return vm_->RunImpl<false>(method_, a0, 0, 0, 0, mem_off);
-  }
   instructions_ += ctx.instructions;
   ++jit_runs_;
   if (fault == JitFault::kNone) {
@@ -338,35 +291,14 @@ Result<uint64_t> Vm::Burst::Call(size_t mem_off, uint64_t a0) {
   return JitFaultToStatus(fault);
 }
 
-bool Vm::Burst::CallMany(size_t base_off, size_t stride, size_t count, uint64_t* out) {
-  if (!valid_ || !jit_ || count == 0) {
-    return false;
-  }
-  // The whole layout must sit under the bounds slack: every slot i then gets
-  // the exact window Call(base_off + i*stride) would compute, and the
-  // trampoline's monotonically shrinking size cursor can never wrap — which
-  // is what keeps the sandboxed bounds checks sound across the burst.
-  const size_t bytes = vm_->memory_.size();
-  if (bytes < 8 || base_off > bytes - 8) {
-    return false;
-  }
-  if (stride != 0 && count - 1 > (bytes - 8 - base_off) / stride) {
-    return false;
-  }
-  // The analyzer's in-bounds proofs assume every window >= elide_floor, and
-  // the trampoline (unlike the host dispatchers) has no per-slot checked
-  // fallback — so if the burst's smallest window (the last slot's) dips
-  // below the floor, decline the fast path and let the caller loop Call(),
-  // which falls back per run.
-  if (vm_->mode_ == ExecMode::kSandboxed && vm_->program_->elide_floor != 0 &&
-      bytes - 8 - base_off - (count - 1) * stride < vm_->program_->elide_floor) {
+bool Vm::Burst::CallMany(size_t first_slot, size_t count, uint64_t* out) {
+  if (!valid_ || !jit_ || count == 0 || first_slot >= vm_->slots_ ||
+      count > vm_->slots_ - first_slot) {
     return false;
   }
   JitContext& ctx = *vm_->jit_ctx_;
   ctx.args[0] = 0;
-  ctx.burst_mem = vm_->memory_.data() + base_off;
-  ctx.burst_mem_size = bytes - 8 - base_off;
-  ctx.burst_stride = stride;
+  ctx.burst_mem = vm_->memory_.data() + first_slot * vm_->window_;
   ctx.burst_count = count;
   ctx.burst_fuel = vm_->fuel_;
   ctx.burst_out = out;
@@ -381,27 +313,12 @@ bool Vm::Burst::CallMany(size_t base_off, size_t stride, size_t count, uint64_t*
 
 template <bool kSandboxed>
 Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-                             size_t mem_off) {
+                             size_t slot) {
   const DecodedInsn* const code = program_->code.data();
   constexpr bool sandboxed = kSandboxed;
-  // Power of two with 8 bytes of slack beyond — but memory() is a mutable
-  // accessor, so saturate rather than wrap if a caller shrank it below the
-  // slack (a wrapped mem_size would disable every sandbox bounds check).
-  // A burst re-bases guest address 0 to memory_[mem_off]; the usable size
-  // shrinks by the same offset, saturating identically.
-  const size_t mem_size =
-      (memory_.size() < 8 || memory_.size() - 8 < mem_off) ? 0 : memory_.size() - 8 - mem_off;
-  uint8_t* const mem = memory_.data() + (mem_off <= memory_.size() ? mem_off : 0);
+  const size_t mem_size = window_;
+  uint8_t* const mem = memory_.data() + slot * window_;
   (void)mem_size;
-
-  // One inequality per run decides whether the analyzer's in-bounds proofs
-  // hold for THIS window: a shrunk memory() or a deep burst re-base can
-  // drop mem_size below what the proofs assumed, in which case elided
-  // opcodes dispatch their checked handlers instead (dual label tables /
-  // remapped switch). Trusted mode never checks bounds, so both variants
-  // are already identical there.
-  const bool elide_ok = !sandboxed || mem_size >= program_->elide_floor;
-  (void)elide_ok;
 
   uint64_t stack[kStackSlots];
   size_t sp = 0;  // next free slot
@@ -451,51 +368,34 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   } while (0)
 
 #if PARA_SFI_THREADED
-// Two dispatch tables, differing only in the twelve elided slots: the
-// default table routes them to their check-free handlers, the fallback
-// table to the original checked handlers (same DecodedInsn layout either
-// way). Picking the table once per run — `labels` below — is how the
-// elide_floor guard costs zero per-instruction work.
-#define VM_LABELS_COMMON                                                                    \
-  &&lbl_halt, &&lbl_push, &&lbl_drop, &&lbl_dup, &&lbl_swap, &&lbl_add, &&lbl_sub,          \
-      &&lbl_mul, &&lbl_divu, &&lbl_remu, &&lbl_and_, &&lbl_or_, &&lbl_xor_, &&lbl_shl,      \
-      &&lbl_shr, &&lbl_eq, &&lbl_ne, &&lbl_ltu, &&lbl_gtu, &&lbl_not_, &&lbl_load8,         \
-      &&lbl_load16, &&lbl_load32, &&lbl_load64, &&lbl_store8, &&lbl_store16, &&lbl_store32, \
-      &&lbl_store64, &&lbl_jmp, &&lbl_jz, &&lbl_jnz, &&lbl_call, &&lbl_ret, &&lbl_ldarg,    \
-      &&lbl_retv, &&lbl_hostcall, &&lbl_check, &&lbl_end, &&lbl_pushload8, &&lbl_pushload16, \
-      &&lbl_pushload32, &&lbl_pushload64, &&lbl_eqjz, &&lbl_eqjnz, &&lbl_nejz, &&lbl_nejnz, \
-      &&lbl_ltujz, &&lbl_ltujnz, &&lbl_gtujz, &&lbl_gtujnz
   static const void* const kLabels[kDecodedOpCount] = {
-      VM_LABELS_COMMON,
+      &&lbl_halt, &&lbl_push, &&lbl_drop, &&lbl_dup, &&lbl_swap, &&lbl_add, &&lbl_sub,
+      &&lbl_mul, &&lbl_divu, &&lbl_remu, &&lbl_and_, &&lbl_or_, &&lbl_xor_, &&lbl_shl,
+      &&lbl_shr, &&lbl_eq, &&lbl_ne, &&lbl_ltu, &&lbl_gtu, &&lbl_not_, &&lbl_load8,
+      &&lbl_load16, &&lbl_load32, &&lbl_load64, &&lbl_store8, &&lbl_store16, &&lbl_store32,
+      &&lbl_store64, &&lbl_jmp, &&lbl_jz, &&lbl_jnz, &&lbl_call, &&lbl_ret, &&lbl_ldarg,
+      &&lbl_retv, &&lbl_hostcall, &&lbl_check, &&lbl_end, &&lbl_pushload8, &&lbl_pushload16,
+      &&lbl_pushload32, &&lbl_pushload64, &&lbl_eqjz, &&lbl_eqjnz, &&lbl_nejz, &&lbl_nejnz,
+      &&lbl_ltujz, &&lbl_ltujnz, &&lbl_gtujz, &&lbl_gtujnz,
       &&lbl_load8e,  &&lbl_load16e,  &&lbl_load32e,  &&lbl_load64e,
       &&lbl_store8e, &&lbl_store16e, &&lbl_store32e, &&lbl_store64e,
       &&lbl_pushload8e, &&lbl_pushload16e, &&lbl_pushload32e, &&lbl_pushload64e,
   };
-  static const void* const kLabelsNoElide[kDecodedOpCount] = {
-      VM_LABELS_COMMON,
-      &&lbl_load8,  &&lbl_load16,  &&lbl_load32,  &&lbl_load64,
-      &&lbl_store8, &&lbl_store16, &&lbl_store32, &&lbl_store64,
-      &&lbl_pushload8, &&lbl_pushload16, &&lbl_pushload32, &&lbl_pushload64,
-  };
-#undef VM_LABELS_COMMON
-  const void* const* const labels = elide_ok ? kLabels : kLabelsNoElide;
 #define VM_OP(name, value) lbl_##name:
 #define VM_NEXT()                 \
   do {                            \
     insn = code + pc;             \
-    goto* labels[insn->op];       \
+    goto* kLabels[insn->op];      \
   } while (0)
 #define VM_DISPATCH_BEGIN() VM_NEXT();
 #define VM_DISPATCH_END()
 #else
 #define VM_OP(name, value) case OpIndex(value):
 #define VM_NEXT() continue
-// The switch build honours elide_floor by remapping elided opcodes back to
-// their checked originals at dispatch when the window is too small.
 #define VM_DISPATCH_BEGIN()                                       \
   for (;;) {                                                      \
     insn = code + pc;                                             \
-    switch (elide_ok ? insn->op : UnelidedOpOf(insn->op)) {
+    switch (insn->op) {
 #define VM_DISPATCH_END()                                          \
   default:                                                         \
     return Status(ErrorCode::kInternal, "bad decoded opcode");     \
@@ -587,9 +487,8 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   }
 
 // Elided accesses: the verifier's analyzer PROVED addr+width <= mem_size for
-// every execution reaching this op (given mem_size >= elide_floor, which the
-// per-run table/remap selection guaranteed before dispatching here), so the
-// range test is gone. The access is still a guarded one — bounds_checks
+// every execution reaching this op (every window is exactly the size the
+// proof assumed), so the range test is gone. The access is still a guarded one — bounds_checks
 // charges it exactly like the checked handler would, static_proofs records
 // how it was discharged — and metering keeps the same order (fuel fault
 // before either counter moves).

@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "src/base/log.h"
 #include "src/base/status.h"
 #include "src/sfi/verified_program.h"
 
@@ -40,8 +42,7 @@ struct VmStats {
   // Of the bounds_checks above, how many were discharged by the verifier's
   // static analyzer (elided opcodes) rather than a run-time range test.
   // Always <= bounds_checks; 0 when the program was verified with
-  // analyze=false, when the mode is kTrusted, or when the run's memory
-  // window fell below VerifiedProgram::elide_floor (checked fallback).
+  // analyze=false or when the mode is kTrusted.
   uint64_t static_proofs = 0;
 };
 
@@ -66,7 +67,15 @@ class Vm {
   // `backend` resolves immediately: kAuto picks the JIT where available;
   // an explicit kJit on a host without one falls back to the threaded loop
   // (observable through backend(), never silent in the tests).
-  Vm(const VerifiedProgram* program, ExecMode mode, VmBackend backend = VmBackend::kAuto);
+  //
+  // Memory is fixed here and never resized: `slots` windows of
+  // RoundUpPow2(program.memory_bytes) bytes each, side by side, plus 8 bytes of slack after the last. Every run sees exactly one
+  // window at guest address 0 (Run uses slot 0; Burst::Call picks one), and
+  // its sandboxed bounds are that window. The static analyzer proved its
+  // elided accesses against the same size, so elision needs no run-time
+  // re-check.
+  Vm(const VerifiedProgram* program, ExecMode mode, VmBackend backend = VmBackend::kAuto,
+     size_t slots = 1);
   ~Vm();
 
   // Runs entry point `method` with up to four arguments. Returns the value
@@ -84,17 +93,15 @@ class Vm {
                        uint64_t a3 = 0);
 
   // A burst amortizes per-run entry cost across many calls to one entry
-  // point. On the JIT backend the JitContext invariants (memory base/size,
-  // helper table) are written once at burst start, the VmStats/telemetry
-  // flush is deferred to burst end, and bounds_checks/calls/host_calls
-  // accumulate in the context across the whole burst. Each Call() may
-  // re-base guest address 0 to byte offset `mem_off` of this Vm's memory —
-  // sandboxed bounds shrink by the same offset — which lets a caller marshal
-  // N packet descriptors side by side and evaluate each without re-copying.
-  // Results, faults, fuel boundaries, and final VmStats are bit-identical to
-  // the equivalent loop of Run() calls (the differential tests enforce it).
-  // Do not call Run() on the Vm while one of its bursts is open: the
-  // deferred counter flush would double- or under-count.
+  // point. On the JIT backend the VmStats/telemetry flush is deferred to
+  // burst end, and bounds_checks/calls/host_calls accumulate in the context
+  // across the whole burst. Each Call() runs over one window (slot) of this
+  // Vm's memory, which lets a caller marshal N packet descriptors into N
+  // slots and evaluate each without re-copying; a sandboxed run cannot reach
+  // the other slots. Results, faults, fuel boundaries, and final VmStats are
+  // bit-identical to the equivalent loop of Run() calls (the differential
+  // tests enforce it). Do not call Run() on the Vm while one of its bursts
+  // is open: the deferred counter flush would double- or under-count.
   class Burst {
    public:
     Burst(const Burst&) = delete;
@@ -113,23 +120,23 @@ class Vm {
     }
     ~Burst();
 
-    // Runs the burst's entry point with guest address 0 at memory()[mem_off]
-    // and a single argument. mem_off must not exceed memory().size().
-    Result<uint64_t> Call(size_t mem_off, uint64_t a0 = 0);
+    // Runs the burst's entry point over window `slot` (checked against the
+    // Vm's slot count) with a single argument.
+    Result<uint64_t> Call(size_t slot, uint64_t a0 = 0);
 
-    // Evaluates `count` descriptor slots in ONE native entry: slot i behaves
-    // exactly like Call(base_off + i*stride, /*a0=*/0) — same re-based
-    // window, same per-slot fuel budget, same metering — but the loop runs
-    // inside the program's generated burst trampoline, so the per-packet
-    // host round trip disappears. out[2i] receives slot i's result and
-    // out[2i+1] its fault word (0 = clean; nonzero values are
+    // Evaluates slots [first_slot, first_slot + count) in ONE native entry:
+    // slot i behaves exactly like Call(i, /*a0=*/0) — same window, same
+    // per-slot fuel budget, same metering — but the loop runs inside the
+    // program's generated burst trampoline, so the per-packet host round
+    // trip disappears. out[2k] receives the k-th slot's result and
+    // out[2k+1] its fault word (0 = clean; nonzero values are
     // backend-internal codes, treat as a boolean). A faulting slot does not
     // stop the burst — later slots still evaluate, as they would in a loop
     // of Call(). Returns false without touching `out` when this burst
     // cannot take the fast path (threaded backend, unknown entry point,
-    // count 0, or a layout whose last slot would cross the memory bounds
-    // slack) — callers fall back to a loop of Call().
-    bool CallMany(size_t base_off, size_t stride, size_t count, uint64_t* out);
+    // count 0, or a range past the last slot) — callers fall back to a loop
+    // of Call().
+    bool CallMany(size_t first_slot, size_t count, uint64_t* out);
 
    private:
     friend class Vm;
@@ -144,11 +151,18 @@ class Vm {
     uint64_t instructions_ = 0;
   };
 
-  // The burst object must not outlive the Vm (or a memory() reallocation is
-  // fine — Call() re-reads the base every call on both backends).
+  // The burst object must not outlive the Vm.
   Burst BeginBurst(size_t method) { return Burst(*this, method); }
 
-  std::vector<uint8_t>& memory() { return memory_; }
+  // All of this Vm's memory: every window plus the trailing slack. Fixed
+  // size for the Vm's lifetime.
+  std::span<uint8_t> memory() { return memory_; }
+  // Window `i` (< the constructor's `slots`): what guest addresses of a run
+  // over slot i reach.
+  std::span<uint8_t> slot(size_t i) {
+    PARA_CHECK(i < slots_);
+    return std::span<uint8_t>(memory_).subspan(i * window_, window_);
+  }
   const VmStats& stats() const { return stats_; }
   ExecMode mode() const { return mode_; }
   // The resolved backend actually serving Run(): kThreaded or kJit, never
@@ -166,12 +180,10 @@ class Vm {
   // The dispatch loop, specialized per mode at compile time so trusted
   // execution carries no residue of the sandbox checks. Computed-goto
   // threaded code under GCC/Clang, a switch loop elsewhere.
-  // `mem_off` re-bases guest address 0 to memory_[mem_off] (burst descriptor
-  // slots); sandboxed bounds shrink by the same offset, so the check
-  // semantics are those of a memory that starts at the slot.
+  // `slot` picks the window guest address 0 maps to.
   template <bool kSandboxed>
   Result<uint64_t> RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-                           size_t mem_off = 0);
+                           size_t slot = 0);
 
   // Run() minus the telemetry wrapper: entry-point check, lazy JIT resolve,
   // and dispatch to the native code or the mode-specialized threaded loop.
@@ -194,28 +206,24 @@ class Vm {
                                                         uint64_t a1, uint64_t a2, uint64_t a3);
 
   // Returns the persistent JitContext, allocating it and writing the
-  // invariant fields (helper table) on first use, and refreshing the cached
-  // memory base/size only when memory() was resized or reallocated. This is
-  // the leaner calling convention that shaves the per-run setup cost: a
-  // steady-state Run() writes args/fuel and zeroes four counters, nothing
-  // else.
+  // invariant fields (helper table, slot 0's memory base and size) on first
+  // use. This is the leaner calling convention that shaves the per-run setup
+  // cost: a steady-state Run() writes args/fuel and zeroes four counters,
+  // nothing else.
   JitContext& JitCtx();
 
   const VerifiedProgram* program_;
   ExecMode mode_;
   VmBackend backend_;
-  std::vector<uint8_t> memory_;
+  size_t window_;  // bytes per slot: a power of two
+  size_t slots_;
+  std::vector<uint8_t> memory_;  // slots_ * window_ + 8; never resized
   uint64_t fuel_ = kDefaultFuel;
   VmStats stats_;
   HostHelper host_helpers_[kMaxHostHelpers] = {};
   void* host_ctx_[kMaxHostHelpers] = {};
   std::shared_ptr<const JitProgram> jit_;  // pinned compiled code (jit backend)
   std::unique_ptr<JitContext> jit_ctx_;    // reused across runs (~10 KiB)
-  // Cache keys for the JitContext's mem/mem_size fields: when they still
-  // match memory_, the per-run path skips both stores. A Burst that re-based
-  // ctx.mem clears jit_mem_base_ on close to force a refresh.
-  uint8_t* jit_mem_base_ = nullptr;
-  size_t jit_mem_bytes_ = 0;
 };
 
 }  // namespace para::sfi

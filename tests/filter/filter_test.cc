@@ -5,8 +5,10 @@
 // an unverified program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -116,7 +118,7 @@ TEST(RuleParserTest, FormatRoundTrips) {
 // Runs the compiled classifier for one packet view, the way PacketFilter
 // does: marshal descriptor, run entry 0.
 uint64_t RunCompiled(const CompiledFilter& compiled, sfi::Vm& vm, const PacketView& view) {
-  EXPECT_TRUE(WritePacketDescriptor(view, vm.memory(), compiled.payload_bytes_needed));
+  EXPECT_TRUE(WritePacketDescriptor(view, vm.slot(0), compiled.payload_bytes_needed));
   auto result = vm.Run(0);
   EXPECT_TRUE(result.ok()) << result.status().message();
   return result.ok() ? *result : ~uint64_t{0};
@@ -961,33 +963,32 @@ TEST(PacketFilterTest, HotReloadKeepAliveIsOptIn) {
 }
 
 TEST(PacketFilterTest, DescriptorMarshallingFailureFailsClosed) {
-  // If the VM memory cannot hold the packet descriptor, running the
-  // classifier would score whatever bytes are still there — the previous
-  // packet. The filter must drop instead.
+  // A span that cannot hold a whole descriptor is refused, untouched: a
+  // classifier run over a partly written descriptor would score the bytes
+  // the previous packet left behind. The filter never hands the marshaller
+  // such a span — each shard Vm has kMaxFilterBatch fixed windows, each big
+  // enough for one descriptor — so this is the marshaller's own contract.
   auto rules = ParseRules("drop dport 23\ndefault pass\n");
   ASSERT_TRUE(rules.ok());
   FilterConfig config;
-  config.shards = 1;  // fault injection targets shard 0's vm()
+  config.shards = 1;
   auto filter = PacketFilter::Create(config);
   ASSERT_TRUE(filter.ok());
   ASSERT_TRUE((*filter)->Load(*rules).ok());
+  sfi::Vm& vm = (*filter)->vm();
+  EXPECT_EQ(vm.memory().size(), kMaxFilterBatch * kFilterBatchSlot + 8);
+  EXPECT_EQ(vm.slot(0).size(), kFilterBatchSlot);
 
   PacketView view{1, 2, 3, 80, net::kIpProtoUdpLite, 64, {}};
+  std::span<uint8_t> window = vm.slot(kMaxFilterBatch - 1);
+  std::fill(window.begin(), window.end(), uint8_t{0xAB});
+  EXPECT_FALSE(WritePacketDescriptor(view, window.first(kDescriptorBytes - 1)));
+  EXPECT_TRUE(std::all_of(window.begin(), window.end(), [](uint8_t b) { return b == 0xAB; }));
+  EXPECT_TRUE(WritePacketDescriptor(view, window.first(kDescriptorBytes)));
+
   EXPECT_EQ((*filter)->Evaluate(view, FilterDirection::kIngress).verdict,
             FilterVerdict::kPass);
-
-  // Fault injection: shrink the VM memory below the descriptor size. A new
-  // 5-tuple forces the classifier path (the first flow stays established).
-  (*filter)->vm().memory().resize(8);
-  view.src_port = 4;
-  FilterDecision d = (*filter)->Evaluate(view, FilterDirection::kIngress);
-  EXPECT_EQ(d.verdict, FilterVerdict::kDrop);
-  EXPECT_EQ(d.rule, net::kDefaultRuleIndex);
-  EXPECT_EQ((*filter)->stats().descriptor_faults, 1u);
-  EXPECT_EQ((*filter)->stats().drop, 1u);
-  // A dropped-for-safety packet must not have established a flow either
-  // (the first packet's pass did).
-  EXPECT_EQ((*filter)->flows().size(), 1u);
+  EXPECT_EQ((*filter)->stats().descriptor_faults, 0u);
 }
 
 TEST(PacketFilterTest, ReplyTrafficSharesEstablishedFlow) {

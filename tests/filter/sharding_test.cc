@@ -5,7 +5,9 @@
 // stopping the data plane.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/random.h"
@@ -17,6 +19,7 @@
 namespace para::filter {
 namespace {
 
+using net::FilterDecision;
 using net::FilterDirection;
 using net::FilterVerdict;
 using net::PacketView;
@@ -132,6 +135,55 @@ TEST(ShardedFilterTest, MergedStatsAndFlowsSumOverShards) {
   }
   EXPECT_EQ(filter->flow_count(), per_shard_sum);
   EXPECT_EQ(filter->flow_count(), expected_pass);
+}
+
+// Without a clock, the procedures' `now` helper is the calling shard's own
+// evaluation counter. Two workers drive conversations steered to their own
+// shards through a ratelimit chain at once: reading any other shard's
+// counter there would race with that shard's worker (the TSan build catches
+// it). The limiter never blocks, because a shard's clock advances at least
+// one tick per packet it evaluates, refilling the token each packet spends.
+TEST(ShardedFilterTest, NoClockNowReadsOnlyTheCallingShard) {
+  constexpr size_t kShards = 2;
+  constexpr size_t kPerWorker = 32;
+  constexpr int kRounds = 200;
+  auto filter = MakeFilter(
+      kShards, "pass dport 1500 proc ratelimit(rate=1000000000,burst=16)\ndefault drop");
+
+  std::vector<PacketView> per_worker[kShards];
+  for (uint16_t sport = 1024;
+       per_worker[0].size() < kPerWorker || per_worker[1].size() < kPerWorker; ++sport) {
+    const PacketView view = MakeView(0x0A000001u, 0x0A000002u, sport, 1500);
+    std::vector<PacketView>& mine = per_worker[filter->SteerShard(view)];
+    if (mine.size() < kPerWorker) {
+      mine.push_back(view);
+    }
+  }
+
+  std::atomic<uint64_t> non_pass{0};
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < kShards; ++w) {
+    workers.emplace_back([&, w] {
+      std::vector<FilterDecision> decisions(kPerWorker);
+      for (int round = 0; round < kRounds; ++round) {
+        filter->EvaluateBatch(per_worker[w], FilterDirection::kIngress, decisions);
+        for (const FilterDecision& decision : decisions) {
+          if (decision.verdict != FilterVerdict::kPass) {
+            non_pass.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+
+  EXPECT_EQ(non_pass.load(), 0u);
+  const FilterStats merged = filter->stats();
+  EXPECT_EQ(merged.evaluated, kShards * kPerWorker * kRounds);
+  EXPECT_EQ(merged.proc_invocations, merged.evaluated);
+  EXPECT_EQ(merged.proc_blocks, 0u);
 }
 
 #if !defined(PARA_NO_TELEMETRY)

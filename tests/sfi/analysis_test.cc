@@ -92,8 +92,6 @@ TEST(AnalysisTest, ConstantAccessesAreElidedAndCounted) {
   EXPECT_TRUE(verified.analyzed);
   EXPECT_EQ(verified.report.elided_accesses, 4u);
   EXPECT_EQ(verified.report.unreachable_insns, 0u);
-  // Floor = the largest addr+width the proofs assumed: 16 + 8.
-  EXPECT_EQ(verified.elide_floor, 24u);
 
   for (VmBackend backend : {VmBackend::kThreaded, VmBackend::kJit}) {
     if (backend == VmBackend::kJit && !JitAvailable()) {
@@ -119,7 +117,6 @@ TEST(AnalysisTest, AnalyzeOffLeavesEverythingChecked) {
   auto verified = MustVerify("push 0\nload64\nretv", {.analyze = false});
   EXPECT_FALSE(verified.analyzed);
   EXPECT_EQ(verified.report.elided_accesses, 0u);
-  EXPECT_EQ(verified.elide_floor, 0u);
   Vm vm(&verified, ExecMode::kSandboxed);
   ASSERT_TRUE(vm.Run(0).ok());
   EXPECT_EQ(vm.stats().bounds_checks, 1u);
@@ -146,7 +143,6 @@ TEST(AnalysisTest, MaskedAddressIsProvedThroughArithmetic) {
   // 0xFF8 + 8 == 4096 == the usable memory size — provable for ANY arg.
   auto verified = MustVerify("ldarg 0\npush 0xFF8\nand\nload64\nretv");
   EXPECT_EQ(verified.report.elided_accesses, 1u);
-  EXPECT_EQ(verified.elide_floor, 4096u);
   for (VmBackend backend : {VmBackend::kThreaded, VmBackend::kJit}) {
     if (backend == VmBackend::kJit && !JitAvailable()) {
       continue;
@@ -317,57 +313,6 @@ TEST(AnalysisTest, UnreachableCodeIsFlagged) {
   EXPECT_EQ(verified.report.unreachable_insns, 2u);
   auto clean = MustVerify("push 1\nretv");
   EXPECT_EQ(clean.report.unreachable_insns, 0u);
-}
-
-// ---- elide-floor fallback ----
-
-TEST(AnalysisTest, ShrunkMemoryFallsBackToCheckedExecution) {
-  // The proofs assumed 4096 usable bytes (elide_floor below). Shrinking the
-  // VM's memory under that floor must re-enable the checked variants: the
-  // access faults exactly as an unanalyzed program would, static_proofs
-  // stays 0, and nothing touches memory out of bounds.
-  auto verified = MustVerify("push 0xFF8\nload64\nretv");
-  ASSERT_EQ(verified.elide_floor, 4096u);
-  for (VmBackend backend : {VmBackend::kThreaded, VmBackend::kJit}) {
-    if (backend == VmBackend::kJit && !JitAvailable()) {
-      continue;
-    }
-    Vm vm(&verified, ExecMode::kSandboxed, backend);
-    // Warm run at full size: elided.
-    auto warm = vm.Run(0);
-    ASSERT_TRUE(warm.ok()) << warm.status().message();
-    EXPECT_EQ(vm.stats().static_proofs, 1u);
-
-    // Shrink usable memory below the floor (keep the 8-byte bounds slack).
-    vm.memory().resize(512 + 8);
-    auto cold = vm.Run(0);
-    ASSERT_FALSE(cold.ok());
-    EXPECT_EQ(cold.status().code(), ErrorCode::kOutOfRange);
-    // The fallback run counted its checks dynamically, proving nothing.
-    EXPECT_EQ(vm.stats().static_proofs, 1u);  // unchanged from the warm run
-    EXPECT_EQ(vm.stats().bounds_checks, 2u);  // one per run, both counted
-  }
-}
-
-TEST(AnalysisTest, BurstRebaseBelowFloorFallsBack) {
-  // A burst re-bases guest address 0 deep into the arena, shrinking the
-  // usable window below the floor: per-call fallback must kick in (and the
-  // CallMany fast path must decline such layouts — covered by its own
-  // layout precheck, exercised here through the Call path).
-  auto verified = MustVerify("push 0xFF8\nload64\nretv");
-  ASSERT_EQ(verified.elide_floor, 4096u);
-  for (VmBackend backend : {VmBackend::kThreaded, VmBackend::kJit}) {
-    if (backend == VmBackend::kJit && !JitAvailable()) {
-      continue;
-    }
-    Vm vm(&verified, ExecMode::kSandboxed, backend);
-    auto burst = vm.BeginBurst(0);
-    auto front = burst.Call(0);  // full window: elided path
-    ASSERT_TRUE(front.ok()) << front.status().message();
-    auto deep = burst.Call(2048);  // 4096-2048 < floor: checked fallback
-    ASSERT_FALSE(deep.ok());
-    EXPECT_EQ(deep.status().code(), ErrorCode::kOutOfRange);
-  }
 }
 
 // ---- stats parity across backends ----

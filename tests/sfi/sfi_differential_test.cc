@@ -4,6 +4,8 @@
 // (and the paper's "omit all run time checks" claim) sound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/base/random.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/jit.h"
@@ -123,7 +125,8 @@ TEST_P(SfiDifferentialTest, ModesAgreeOnRandomPrograms) {
     ASSERT_TRUE(s.ok()) << "sandboxed failed: " << s.status().message();
     EXPECT_EQ(*t, *s) << "divergence in round " << round;
     // Memory states must match too.
-    EXPECT_EQ(trusted.memory(), sandboxed.memory()) << "memory divergence, round " << round;
+    EXPECT_TRUE(std::ranges::equal(trusted.memory(), sandboxed.memory()))
+        << "memory divergence, round " << round;
     // And the sandbox must actually have exercised its checks.
     EXPECT_GE(sandboxed.stats().bounds_checks, 0u);
     EXPECT_EQ(trusted.stats().bounds_checks, 0u);
@@ -139,7 +142,8 @@ TEST_P(SfiDifferentialTest, ModesAgreeOnRandomPrograms) {
         auto j = jit.Run(0, a0, a1, a2, a3);
         ASSERT_TRUE(j.ok()) << "jit failed: " << j.status().message();
         EXPECT_EQ(*j, *t) << "jit divergence, round " << round;
-        EXPECT_EQ(jit.memory(), oracle.memory()) << "jit memory divergence, round " << round;
+        EXPECT_TRUE(std::ranges::equal(jit.memory(), oracle.memory()))
+            << "jit memory divergence, round " << round;
         EXPECT_EQ(jit.stats().instructions, oracle.stats().instructions) << round;
         EXPECT_EQ(jit.stats().bounds_checks, oracle.stats().bounds_checks) << round;
         EXPECT_EQ(jit.stats().jit_runs, 1u);
@@ -247,7 +251,7 @@ TEST(SfiDifferentialTest, FaultingProgramsAgreeAcrossBackends) {
       EXPECT_EQ(t.status().code(), j.status().code()) << round;
       EXPECT_EQ(t.status().message(), j.status().message()) << round;
     }
-    EXPECT_EQ(threaded.memory(), jitted.memory()) << round;
+    EXPECT_TRUE(std::ranges::equal(threaded.memory(), jitted.memory())) << round;
     EXPECT_EQ(threaded.stats().instructions, jitted.stats().instructions) << round;
     EXPECT_EQ(threaded.stats().bounds_checks, jitted.stats().bounds_checks) << round;
     EXPECT_EQ(threaded.stats().calls, jitted.stats().calls) << round;
@@ -326,7 +330,7 @@ TEST_P(AnalysisDifferentialTest, AnalysisOnOffAgreeBitExactly) {
           EXPECT_EQ(r_off.status().code(), r_on.status().code()) << round;
           EXPECT_EQ(r_off.status().message(), r_on.status().message()) << round;
         }
-        EXPECT_EQ(off.memory(), on.memory()) << round;
+        EXPECT_TRUE(std::ranges::equal(off.memory(), on.memory())) << round;
         EXPECT_EQ(off.stats().instructions, on.stats().instructions) << round;
         // bounds_checks is check *coverage*, not check cost: identical.
         EXPECT_EQ(off.stats().bounds_checks, on.stats().bounds_checks) << round;
@@ -438,7 +442,7 @@ TEST_P(AnalysisDifferentialTest, AnalysisOnOffAgreeOnFaultingPrograms) {
     } else {
       EXPECT_EQ(*r_off, *r_on) << round;
     }
-    EXPECT_EQ(off.memory(), on.memory()) << round;
+    EXPECT_TRUE(std::ranges::equal(off.memory(), on.memory())) << round;
     EXPECT_EQ(off.stats().instructions, on.stats().instructions) << round;
     EXPECT_EQ(off.stats().bounds_checks, on.stats().bounds_checks) << round;
   }

@@ -413,22 +413,6 @@ TEST(VmTest, StackUnderflowDetected) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(VmTest, MemoryShrunkBelowSlackFailsClosed) {
-  // memory() is mutable so hosts can marshal into it; shrinking it below
-  // the 8-byte slack must saturate the sandbox's usable size to zero — a
-  // wrapped mem_size would silently disable every bounds check and let the
-  // "sandboxed" program read host memory.
-  auto program = Assembler::Assemble("push 0\nload64\nretv");
-  ASSERT_TRUE(program.ok());
-  auto verified = Verify(*program);
-  ASSERT_TRUE(verified.ok());
-  Vm vm(&*verified, ExecMode::kSandboxed);
-  vm.memory().resize(4);
-  auto result = vm.Run(0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), para::ErrorCode::kOutOfRange);
-}
-
 TEST(VmTest, CallDepthLimited) {
   auto program = Assembler::Assemble("recurse: call recurse\nret");
   ASSERT_TRUE(program.ok());

@@ -1,13 +1,17 @@
 // Vm::Burst correctness: a burst is a loop of Run() with the entry cost paid
 // once — results, faults, fuel boundaries, and final VmStats must be
 // bit-identical to the equivalent Run() loop on both backends and in both
-// execution modes, and the mem_off re-base must behave exactly like a memory
-// that starts at the slot. Also covers the persistent-JitContext plumbing the
-// burst relies on: helper bindings and memory resizes must stay visible
-// across runs even though the context caches invariants.
+// execution modes, and every slot must behave exactly like a memory of one
+// window that starts at the slot — no more: a sandboxed program cannot reach
+// a neighbouring slot. Also covers the persistent-JitContext plumbing the
+// burst relies on: helper bindings must stay visible across runs, and a
+// plain Run() after a burst must see slot 0 again.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "src/sfi/assembler.h"
@@ -52,6 +56,27 @@ VerifiedProgram HostCallProgram() {
   return std::move(*verified);
 }
 
+// Double load: returns mem64[mem64[0]], so the second access goes wherever
+// the word at the start of the window points — an address no analysis can
+// bound, checked at run time in sandboxed mode.
+VerifiedProgram DerefProgram() {
+  auto program = Assembler::Assemble("push 0\nload64\nload64\nretv", /*memory_bytes=*/256);
+  EXPECT_TRUE(program.ok());
+  auto verified = Verify(*program);
+  EXPECT_TRUE(verified.ok());
+  return std::move(*verified);
+}
+
+void Store64(std::span<uint8_t> window, size_t off, uint64_t v) {
+  std::memcpy(window.data() + off, &v, 8);
+}
+
+uint64_t Load64(std::span<uint8_t> window, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, window.data() + off, 8);
+  return v;
+}
+
 void FillMemory(Vm& vm) {
   for (size_t off = 0; off + 8 <= vm.memory().size(); off += 8) {
     const uint64_t v = off * 3 + 7;
@@ -80,7 +105,7 @@ TEST_P(VmBurstTest, BurstMatchesRunLoopBitExactly) {
   {
     Vm::Burst burst = burst_vm.BeginBurst(0);
     for (uint64_t i = 0; i < 64; ++i) {
-      auto run = burst.Call(/*mem_off=*/0, (i * 8) % 512);
+      auto run = burst.Call(/*slot=*/0, (i * 8) % 512);
       ASSERT_TRUE(run.ok());
       EXPECT_EQ(*run, loop_results[i]) << "i=" << i;
     }
@@ -98,38 +123,81 @@ TEST_P(VmBurstTest, BurstMatchesRunLoopBitExactly) {
 TEST_P(VmBurstTest, MemOffRebasesGuestAddressZero) {
   const auto [mode, backend] = GetParam();
   VerifiedProgram program = LoadAtArgProgram();
-  Vm vm(&program, mode, backend);
+  Vm vm(&program, mode, backend, /*slots=*/4);
   FillMemory(vm);
 
-  // Guest address 0 re-based to byte offset `off`: loading guest 0 must
-  // read host offset `off`.
+  // Four 4096-byte windows side by side, then the 8-byte slack.
+  ASSERT_EQ(vm.memory().size(), 4 * 4096u + 8);
+
+  // Guest address 0 of slot i is host offset i * window: loading guest 0
+  // must read the start of the slot's window.
   Vm::Burst burst = vm.BeginBurst(0);
-  for (size_t off : {size_t{0}, size_t{8}, size_t{256}, size_t{1024}}) {
-    auto run = burst.Call(off, /*a0=*/0);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(vm.slot(i).data(), vm.memory().data() + i * 4096);
+    ASSERT_EQ(vm.slot(i).size(), 4096u);
+    auto run = burst.Call(i, /*a0=*/0);
     ASSERT_TRUE(run.ok());
-    uint64_t expected = 0;
-    std::memcpy(&expected, vm.memory().data() + off, 8);
-    EXPECT_EQ(*run, expected + 1000) << "off=" << off;
+    EXPECT_EQ(*run, Load64(vm.slot(i), 0) + 1000) << "slot " << i;
   }
 }
 
-TEST_P(VmBurstTest, SandboxedBoundsShrinkWithOffset) {
+TEST_P(VmBurstTest, SandboxedSlotCannotReadItsNeighbour) {
   const auto [mode, backend] = GetParam();
   if (mode != ExecMode::kSandboxed) {
     GTEST_SKIP() << "bounds checks are a sandboxed-mode property";
   }
-  VerifiedProgram program = LoadAtArgProgram();
-  Vm vm(&program, mode, backend);
-  FillMemory(vm);
-  const size_t usable = vm.memory().size() - 8;  // the VM's slack convention
+  VerifiedProgram program = DerefProgram();
+  constexpr size_t kSlots = 4;
+  Vm vm(&program, mode, backend, kSlots);
+  const size_t window = vm.slot(0).size();
+  ASSERT_EQ(window, 256u);
 
-  Vm::Burst burst = vm.BeginBurst(0);
-  // In-bounds at offset 0...
-  ASSERT_TRUE(burst.Call(0, usable - 8).ok());
-  // ...is out of bounds once the base moves past it.
-  auto run = burst.Call(1024, usable - 8);
+  // Positive control: the last word of every window is reachable...
+  for (size_t i = 0; i < kSlots; ++i) {
+    Store64(vm.slot(i), 0, window - 8);
+    Store64(vm.slot(i), window - 8, 100 + i);
+  }
+  auto first = vm.Run(0);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  EXPECT_EQ(*first, 100u);
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    for (size_t i = 0; i < kSlots; ++i) {
+      auto run = burst.Call(i);
+      ASSERT_TRUE(run.ok()) << run.status().message();
+      EXPECT_EQ(*run, 100 + i);
+    }
+  }
+
+  // ...but the word just past it — the next slot's first word, or the
+  // slack after the last slot — is not, in any slot, through any entry.
+  for (size_t i = 0; i < kSlots; ++i) {
+    Store64(vm.slot(i), 0, window);
+  }
+  auto run = vm.Run(0);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(run.status().message(), "load out of bounds");
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    for (size_t i = 0; i < kSlots; ++i) {
+      auto call = burst.Call(i);
+      ASSERT_FALSE(call.ok()) << "slot " << i << " read " << *call;
+      EXPECT_EQ(call.status().code(), ErrorCode::kOutOfRange) << "slot " << i;
+    }
+  }
+  uint64_t pairs[2 * kSlots] = {};
+  bool fast = false;
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    fast = burst.CallMany(0, kSlots, pairs);
+  }
+  EXPECT_EQ(fast, vm.backend() == VmBackend::kJit);
+  if (fast) {
+    for (size_t i = 0; i < kSlots; ++i) {
+      EXPECT_NE(pairs[2 * i + 1], 0u) << "slot " << i << " read " << pairs[2 * i];
+    }
+  }
 }
 
 TEST_P(VmBurstTest, HostHelperBindingsStayLiveAcrossRuns) {
@@ -158,28 +226,30 @@ TEST_P(VmBurstTest, HostHelperBindingsStayLiveAcrossRuns) {
 TEST_P(VmBurstTest, MemoryResizeRefreshesCachedBase) {
   const auto [mode, backend] = GetParam();
   VerifiedProgram program = LoadAtArgProgram();
-  Vm vm(&program, mode, backend);
-  FillMemory(vm);
-
-  auto before = vm.Run(0, 0);
-  ASSERT_TRUE(before.ok());
-
-  // Grow (and almost certainly reallocate) the memory, then write a fresh
-  // value at guest 0: the next run must read through the NEW base.
-  vm.memory().assign(vm.memory().size() * 4, 0);
+  Vm vm(&program, mode, backend, /*slots=*/2);
   const uint64_t sentinel = 0xDEADBEEFCAFEull;
-  std::memcpy(vm.memory().data(), &sentinel, 8);
-  auto after = vm.Run(0, 0);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, sentinel + 1000);
+  Store64(vm.slot(0), 0, sentinel);
+  Store64(vm.slot(1), 0, 7);
 
-  // A burst re-bases the context's memory view; a plain Run afterwards must
-  // see base 0 again.
+  // A burst points the context's memory view at other slots; a plain Run
+  // afterwards must see slot 0 again.
   {
     Vm::Burst burst = vm.BeginBurst(0);
-    ASSERT_TRUE(burst.Call(1024, 0).ok());
+    auto call = burst.Call(1, 0);
+    ASSERT_TRUE(call.ok());
+    EXPECT_EQ(*call, 7u + 1000);
   }
   auto plain = vm.Run(0, 0);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(*plain, sentinel + 1000);
+
+  // The same after a batch entry that ends on slot 1.
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    uint64_t pairs[2] = {};
+    burst.CallMany(1, 1, pairs);
+  }
+  plain = vm.Run(0, 0);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(*plain, sentinel + 1000);
 }
@@ -198,19 +268,18 @@ TEST_P(VmBurstTest, CallManyMatchesCallLoopBitExactly) {
   const auto [mode, backend] = GetParam();
   VerifiedProgram program = LoadAtArgProgram();
 
-  Vm loop_vm(&program, mode, backend);
-  Vm many_vm(&program, mode, backend);
+  constexpr size_t kCount = 32;
+  Vm loop_vm(&program, mode, backend, kCount);
+  Vm many_vm(&program, mode, backend, kCount);
   FillMemory(loop_vm);
   FillMemory(many_vm);
   ASSERT_EQ(loop_vm.backend(), many_vm.backend());
 
-  constexpr size_t kStride = 64;
-  constexpr size_t kCount = 32;
   std::vector<uint64_t> pairs(2 * kCount, 0xABABABAB);
   bool fast = false;
   {
     Vm::Burst burst = many_vm.BeginBurst(0);
-    fast = burst.CallMany(/*base_off=*/0, kStride, kCount, pairs.data());
+    fast = burst.CallMany(/*first_slot=*/0, kCount, pairs.data());
   }
   if (many_vm.backend() != VmBackend::kJit) {
     // Threaded backend: no batch entry; callers must fall back to Call().
@@ -222,7 +291,7 @@ TEST_P(VmBurstTest, CallManyMatchesCallLoopBitExactly) {
   {
     Vm::Burst burst = loop_vm.BeginBurst(0);
     for (size_t i = 0; i < kCount; ++i) {
-      auto run = burst.Call(i * kStride, /*a0=*/0);
+      auto run = burst.Call(i, /*a0=*/0);
       ASSERT_TRUE(run.ok());
       EXPECT_EQ(pairs[2 * i + 1], 0u) << "slot " << i << " faulted";
       EXPECT_EQ(pairs[2 * i], *run) << "slot " << i;
@@ -243,33 +312,31 @@ TEST_P(VmBurstTest, CallManyFaultingSlotDoesNotStopTheBurst) {
   if (mode != ExecMode::kSandboxed) {
     GTEST_SKIP() << "per-slot faults are a sandboxed-mode property";
   }
-  VerifiedProgram program = LoadAtArgProgram();
-  Vm vm(&program, mode, backend);
-  FillMemory(vm);
+  VerifiedProgram program = DerefProgram();
+  Vm vm(&program, mode, backend, /*slots=*/3);
   if (vm.backend() != VmBackend::kJit) {
     GTEST_SKIP() << "CallMany is a JIT-backend entry point";
   }
 
-  // Slots at the tail of memory: the shrinking per-slot window makes the
-  // final slot's 8-byte load out of range while earlier slots stay clean.
-  const size_t usable = vm.memory().size() - 8;  // the VM's slack convention
-  const size_t base = usable - 16;               // slots at usable-16, -8, -0
+  // Slot 1's word 0 points one past its window, so its second load — a
+  // data-dependent address — faults; slots 0 and 2 read their own word 8.
+  for (size_t i = 0; i < 3; ++i) {
+    Store64(vm.slot(i), 0, i == 1 ? vm.slot(i).size() : 8);
+    Store64(vm.slot(i), 8, 500 + i);
+  }
   uint64_t pairs[6] = {};
   {
     Vm::Burst burst = vm.BeginBurst(0);
-    ASSERT_TRUE(burst.CallMany(base, /*stride=*/8, /*count=*/3, pairs));
+    ASSERT_TRUE(burst.CallMany(/*first_slot=*/0, /*count=*/3, pairs));
   }
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(pairs[2 * i + 1], 0u) << "slot " << i;
-    uint64_t expected = 0;
-    std::memcpy(&expected, vm.memory().data() + base + i * 8, 8);
-    EXPECT_EQ(pairs[2 * i], expected + 1000) << "slot " << i;
-  }
-  // Window of the last slot is 0 bytes: the load must fault, matching what a
-  // re-based Call() reports for the same slot.
-  EXPECT_NE(pairs[5], 0u);
+  EXPECT_EQ(pairs[1], 0u);
+  EXPECT_EQ(pairs[0], 500u);
+  EXPECT_NE(pairs[3], 0u);
+  EXPECT_EQ(pairs[5], 0u);
+  EXPECT_EQ(pairs[4], 502u);
+  // The faulting slot reports what Call() reports for it.
   Vm::Burst burst = vm.BeginBurst(0);
-  auto run = burst.Call(base + 16, /*a0=*/0);
+  auto run = burst.Call(1, /*a0=*/0);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), ErrorCode::kOutOfRange);
 }
@@ -277,17 +344,18 @@ TEST_P(VmBurstTest, CallManyFaultingSlotDoesNotStopTheBurst) {
 TEST_P(VmBurstTest, CallManyRejectsLayoutsPastTheSlack) {
   const auto [mode, backend] = GetParam();
   VerifiedProgram program = LoadAtArgProgram();
-  Vm vm(&program, mode, backend);
+  Vm vm(&program, mode, backend, /*slots=*/4);
   FillMemory(vm);
 
-  const size_t usable = vm.memory().size() - 8;
-  uint64_t pairs[8] = {};
+  uint64_t pairs[16] = {};
   Vm::Burst burst = vm.BeginBurst(0);
-  // Last slot's base would land past the slack line: rejected up front, out
-  // is never touched.
-  EXPECT_FALSE(burst.CallMany(usable - 4, /*stride=*/8, /*count=*/2, pairs));
-  EXPECT_FALSE(burst.CallMany(/*base_off=*/0, /*stride=*/1024, /*count=*/1000, pairs));
-  EXPECT_FALSE(burst.CallMany(/*base_off=*/0, /*stride=*/64, /*count=*/0, pairs));
+  // Ranges that end past the last slot are rejected up front, and so is an
+  // empty range; out is never touched.
+  EXPECT_FALSE(burst.CallMany(/*first_slot=*/3, /*count=*/2, pairs));
+  EXPECT_FALSE(burst.CallMany(/*first_slot=*/0, /*count=*/5, pairs));
+  EXPECT_FALSE(burst.CallMany(/*first_slot=*/4, /*count=*/1, pairs));
+  EXPECT_FALSE(burst.CallMany(/*first_slot=*/1, std::numeric_limits<size_t>::max(), pairs));
+  EXPECT_FALSE(burst.CallMany(/*first_slot=*/0, /*count=*/0, pairs));
   for (uint64_t word : pairs) {
     EXPECT_EQ(word, 0u);
   }
