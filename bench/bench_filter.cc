@@ -343,12 +343,13 @@ void BM_FilterProcChainTrusted(benchmark::State& state) {
 
 // --- batched verdicts: amortized VM entry ------------------------------------
 // The same 256-rule certified-trusted prefix/range set, evaluated one packet
-// at a time vs in EvaluateBatch bursts. Flow tracking is off so every packet
-// runs the classifier — the path batching amortizes (descriptor marshal up
-// front, one Vm::Burst per chunk: JitContext setup and the native prologue
-// paid once per burst instead of once per packet). Compare per-item times:
-// the acceptance bar is BM_FilterBatch/32 ≥1.5× faster per packet than
-// BM_FilterBatchSingle.
+// at a time vs in EvaluateBatch bursts. Every packet runs the classifier
+// (flow tracking is off, or no packet is admitted) — the path batching
+// amortizes (one Vm::Burst per
+// chunk: JitContext setup and the native prologue paid once per burst
+// instead of once per packet, and with flow tracking off one CallMany entry
+// classifies the whole chunk). Compare per-item times: the acceptance bar is
+// BM_FilterBatch/32 ≥1.5× faster per packet than BM_FilterBatchSingle.
 
 struct BatchBenchSetup {
   std::unique_ptr<PacketFilter> filter;
@@ -356,16 +357,21 @@ struct BatchBenchSetup {
   std::vector<net::PacketView> views;
 };
 
-BatchBenchSetup MakeBatchBench(size_t batch, size_t shards) {
+BatchBenchSetup MakeBatchBench(size_t batch, size_t shards, bool track_flows = false) {
   BatchBenchSetup setup;
   FilterConfig config;
   config.shards = shards;
-  config.track_flows = false;  // every packet exercises the classifier
+  config.track_flows = track_flows;
   auto filter = PacketFilter::Create(std::move(config));
   PARA_CHECK(filter.ok());
+  RuleSet rules = PrefixRangeRules(256);
+  if (track_flows) {
+    // The packets' one matching rule drops instead: no flow is ever
+    // established, so every packet still exercises the classifier.
+    rules.rules.back().verdict = net::FilterVerdict::kDrop;
+  }
   auto& fx = CryptoFixture::Get();
-  PARA_CHECK(
-      (*filter)->LoadCertified(PrefixRangeRules(256), *fx.signer, *fx.service).ok());
+  PARA_CHECK((*filter)->LoadCertified(rules, *fx.signer, *fx.service).ok());
   setup.filter = std::move(*filter);
   setup.payloads.reserve(batch);
   setup.views.reserve(batch);
@@ -378,16 +384,26 @@ BatchBenchSetup MakeBatchBench(size_t batch, size_t shards) {
   return setup;
 }
 
-void BM_FilterBatch(benchmark::State& state) {
-  auto setup = MakeBatchBench(static_cast<size_t>(state.range(0)), /*shards=*/1);
+void RunBatchBench(benchmark::State& state, bool track_flows) {
+  auto setup = MakeBatchBench(static_cast<size_t>(state.range(0)), /*shards=*/1, track_flows);
   std::vector<net::FilterDecision> decisions(setup.views.size());
   for (auto _ : state) {
     setup.filter->EvaluateBatch(setup.views, net::FilterDirection::kIngress, decisions);
     benchmark::DoNotOptimize(decisions.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(setup.views.size()));
   state.counters["jit"] =
       setup.filter->exec_backend() == sfi::VmBackend::kJit ? 1.0 : 0.0;
+}
+
+void BM_FilterBatch(benchmark::State& state) { RunBatchBench(state, /*track_flows=*/false); }
+
+// Flow tracking on: every packet probes the flow table, misses, and takes
+// the lazy per-packet classify path (marshal into its slot, one
+// Burst::Call) instead of the stateless CallMany sweep.
+void BM_FilterBatchTracked(benchmark::State& state) {
+  RunBatchBench(state, /*track_flows=*/true);
 }
 
 // The single-Evaluate comparison row over the identical packet sequence.
@@ -513,6 +529,7 @@ BENCHMARK(BM_FilterRateLimitTrusted);
 BENCHMARK(BM_FilterProcChainSandboxed);
 BENCHMARK(BM_FilterProcChainTrusted);
 BENCHMARK(BM_FilterBatch)->Arg(8)->Arg(32)->Arg(64);
+BENCHMARK(BM_FilterBatchTracked)->Arg(32);
 BENCHMARK(BM_FilterBatchSingle)->Arg(32);
 BENCHMARK(BM_FilterSharded)
     ->Setup(ShardedSetup)

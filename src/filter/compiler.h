@@ -113,11 +113,13 @@ Result<CompiledFilter> CompileRules(const RuleSet& rules, CompileOptions options
 
 // Marshals `view` into the descriptor region of `memory` (the VM's data
 // memory). `payload_bytes` bounds how much payload is copied (pass
-// CompiledFilter::payload_bytes_needed). Returns false if `memory` is too
-// small to hold the descriptor. Inline: this is the per-packet marshal on
-// both the single-Evaluate and batched data-plane hot paths, and rule sets
-// without payload predicates (payload_bytes == 0) fold the capture copy
-// away entirely at the call site.
+// CompiledFilter::payload_bytes_needed). Returns false, writing nothing, if
+// `memory` is too small to hold the descriptor. PacketFilter ignores the
+// result: its windows are proved large enough when a program is loaded, so
+// it has no per-packet failure path. Inline: this is the per-packet marshal
+// on both the single-Evaluate and batched data-plane hot paths, and rule
+// sets without payload predicates (payload_bytes == 0) fold the capture
+// copy away entirely at the call site.
 inline bool WritePacketDescriptor(const net::PacketView& view, std::span<uint8_t> memory,
                                   size_t payload_bytes = kMaxPayloadCapture) {
   if (memory.size() < kDescriptorBytes) {

@@ -12,9 +12,11 @@
 //  * entry point 0; argument 0 is the direction (0 ingress, 1 egress);
 //  * VM memory starts with the packet descriptor (compiler.h layout; the
 //    filter marshals the header fields before every run — payload bytes are
-//    NOT marshalled for procedures), and everything from kProcStateBase up
-//    is persistent per-procedure state: VM memory survives across runs, so
-//    a counter or token bucket lives there between packets;
+//    NOT marshalled for procedures, and a program declaring less than
+//    kDescriptorBytes of memory fails the load), and everything from
+//    kProcStateBase up is persistent per-procedure state: VM memory
+//    survives across runs, so a counter or token bucket lives there
+//    between packets;
 //  * host helpers kProcHelperNow / kProcHelperRandom are bound on every
 //    procedure VM. They behave identically in both execution modes, which
 //    is what makes a certified procedure bit-for-bit equivalent to its

@@ -200,6 +200,13 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
       // identical across shards, so event details agree wherever the packet
       // steered.
       PARA_ASSIGN_OR_RETURN(sfi::Program program, registry.Generate(spec));
+      if (program.memory_bytes < kDescriptorBytes) {
+        // RunChain marshals the descriptor into the procedure's window before
+        // every run without checking: the window is proved large enough here,
+        // once, instead of per packet.
+        return Status(ErrorCode::kInvalidArgument,
+                      "procedure memory cannot hold the packet descriptor");
+      }
       PARA_ASSIGN_OR_RETURN(std::shared_ptr<const sfi::VerifiedProgram> verified,
                             VerifyProgram(program));
       if (mode == sfi::ExecMode::kTrusted) {
@@ -376,20 +383,15 @@ void PacketFilter::NotifyVerdict(Shard& shard, const FilterDecision& decision,
   RaiseEvent(shard, EncodeFilterEvent(decision.verdict, dir, /*proc=*/0, decision.rule));
 }
 
-// Runs the installed classifier over `view`, failing closed on marshalling
-// or VM faults. Pure classification: verdict counters are the caller's job.
+// Runs the installed classifier over `view`, failing closed on VM faults.
+// Pure classification: verdict counters are the caller's job.
 uint64_t PacketFilter::Classify(Shard& shard, LoadedProgram& gen, const net::PacketView& view) {
   sfi::Vm& vm = gen.shards[shard.index]->vm;
   // On sampled packets the pipeline stages mark their completion in the
   // trace ring, inside the enclosing "filter.classify" span.
   const bool traced = telemetry::kEnabled && shard.trace_sample_active;
-  if (!WritePacketDescriptor(view, vm.slot(0), gen.payload_bytes_needed)) {
-    // The VM memory cannot hold the descriptor. Running anyway would
-    // classify whatever descriptor is still in memory — the *previous*
-    // packet. Fail closed instead.
-    ++shard.stats.descriptor_faults;
-    return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-  }
+  // Every slot holds a descriptor (kFilterBatchSlot >= kDescriptorBytes).
+  WritePacketDescriptor(view, vm.slot(0), gen.payload_bytes_needed);
   if (traced) [[unlikely]] {
     PARA_TRACE_INSTANT("filter.descriptor_marshal", gen.payload_bytes_needed);
   }
@@ -459,13 +461,9 @@ void PacketFilter::RunChain(Shard& shard, LoadedProgram& gen, FilterDecision* de
   for (const std::unique_ptr<ProcInstance>& proc : exec.chains[decision->chain - 1]) {
     // Re-marshal the descriptor each run (header fields only — procedures do
     // not see payload). Everything past kProcStateBase is the procedure's
-    // persistent state and survives untouched.
-    if (!WritePacketDescriptor(view, proc->vm.slot(0), /*payload_bytes=*/0)) {
-      ++shard.stats.proc_faults;
-      ++proc->faults;
-      decision->verdict = FilterVerdict::kDrop;
-      return;
-    }
+    // persistent state and survives untouched. InstantiateChains refused
+    // every program whose window cannot hold the descriptor.
+    WritePacketDescriptor(view, proc->vm.slot(0), /*payload_bytes=*/0);
     Result<uint64_t> run = proc->vm.Run(0, static_cast<uint64_t>(dir));
     if (!run.ok()) {
       // SFI violation or fuel exhaustion mid-chain: the packet is dropped,
@@ -559,7 +557,7 @@ FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
         fwd.src_port = forward.src_port;
         fwd.dst_port = forward.dst_port;
         fwd.proto = forward.proto;
-        uint64_t encoded = classify(fwd, /*synthetic=*/true);
+        uint64_t encoded = classify(fwd);
         FilterDecision decision = DecodeVerdict(encoded);
         // The dispatch verdict re-admits (or not) on the synthetic forward
         // view; the procedures judge the packet actually in hand.
@@ -594,7 +592,7 @@ FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
       classify_t0 = telemetry::TraceClock();
     }
   }
-  uint64_t encoded = classify(view, /*synthetic=*/false);
+  uint64_t encoded = classify(view);
   FilterDecision decision = DecodeVerdict(encoded);
   const bool admitted = VerdictPasses(decision.verdict);
   if (decision.chain != 0) {  // chain-less verdicts skip the call entirely
@@ -626,7 +624,7 @@ FilterDecision PacketFilter::Evaluate(const net::PacketView& view, FilterDirecti
   LoadedProgram& gen = *LoadLivePinned();
   FilterDecision decision = EvaluateOn<true>(
       shard, gen, view, dir,
-      [this, &shard, &gen](const net::PacketView& v, bool) { return Classify(shard, gen, v); });
+      [this, &shard, &gen](const net::PacketView& v) { return Classify(shard, gen, v); });
   UnpinShard(shard);
   return decision;
 }
@@ -649,34 +647,9 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   }
   LoadedProgram& gen = *LoadLivePinned();
 
-  // Marshal every descriptor up front, packet i into slot i of its shard's
-  // VM memory — one pass of cache-friendly copies instead of a marshal
-  // interleaved with every VM entry. Failures are deferred: the single-packet
-  // path only counts a descriptor fault when the classifier actually runs
-  // (a flow hit never marshals), so the batch path must too. Single-shard
-  // chunks (every steered per-RX-queue burst) hoist the Vm out of the loop —
-  // the general walk re-derives it per packet through the shard table.
-  const bool single_shard = (touched & (touched - 1)) == 0;
-  const size_t s0 = static_cast<size_t>(std::countr_zero(touched));
-  uint64_t marshal_failed = 0;
-  if (single_shard) {
-    sfi::Vm& vm = gen.shards[s0]->vm;
-    for (size_t i = 0; i < n; ++i) {
-      if (!WritePacketDescriptor(views[i], vm.slot(i), gen.payload_bytes_needed)) {
-        marshal_failed |= uint64_t{1} << i;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (!WritePacketDescriptor(views[i], gen.shards[shard_of[i]]->vm.slot(i),
-                                 gen.payload_bytes_needed)) {
-        marshal_failed |= uint64_t{1} << i;
-      }
-    }
-  }
-
   // One Vm::Burst per touched shard, opened lazily: VmStats/telemetry
-  // flushed once, entered once per packet.
+  // flushed once, entered once per packet. Packet i's descriptor goes into
+  // slot i of its shard's VM, written where the classifier runs on it.
   std::optional<sfi::Vm::Burst> bursts[kMaxFilterShards];
 
   // Single-shard, flow-tracking-off chunks (the steered per-RX-queue shape)
@@ -689,16 +662,21 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   // an eager sweep cannot reproduce. Classify order and per-slot metering
   // are unchanged (CallMany's contract), so stats stay
   // differential-identical.
-  if (!config_.track_flows && marshal_failed == 0 && single_shard) {
+  if (!config_.track_flows && (touched & (touched - 1)) == 0) {
+    const size_t s0 = static_cast<size_t>(std::countr_zero(touched));
+    sfi::Vm& vm = gen.shards[s0]->vm;
+    for (size_t i = 0; i < n; ++i) {
+      WritePacketDescriptor(views[i], vm.slot(i), gen.payload_bytes_needed);
+    }
     uint64_t vm_pairs[2 * kMaxFilterBatch];
-    bursts[s0].emplace(gen.shards[s0]->vm.BeginBurst(0));
+    bursts[s0].emplace(vm.BeginBurst(0));
     if (bursts[s0]->CallMany(0, n, vm_pairs)) {
       Shard& shard = *shards_[s0];
       for (size_t i = 0; i < n; ++i) {
-        // track_flows is off, so EvaluateOn can never take the synthetic
-        // re-decide path — the classifier result is always pair i.
+        // track_flows is off, so EvaluateOn classifies each packet exactly
+        // once, on its own view — the classifier result is always pair i.
         out[i] = EvaluateOn<false>(shard, gen, views[i], dir,
-                                   [&](const net::PacketView&, bool) -> uint64_t {
+                                   [&](const net::PacketView&) -> uint64_t {
                                      if (vm_pairs[2 * i + 1] != 0) [[unlikely]] {
                                        // Same fail-closed drop the per-packet
                                        // path produces on a VM fault.
@@ -722,22 +700,11 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
     if (!burst.has_value()) {
       burst.emplace(exec.vm.BeginBurst(0));
     }
-    const bool failed = (marshal_failed >> i) & 1;
     out[i] = EvaluateOn<false>(
-        shard, gen, views[i], dir,
-        [&, i](const net::PacketView& v, bool synthetic) -> uint64_t {
-          if (synthetic) {
-            // Stale-epoch reverse re-decide: overwrite this packet's slot
-            // with the synthetic forward view (the original descriptor is
-            // never consulted again on this path).
-            if (!WritePacketDescriptor(v, exec.vm.slot(i), gen.payload_bytes_needed)) {
-              ++shard.stats.descriptor_faults;
-              return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-            }
-          } else if (failed) {
-            ++shard.stats.descriptor_faults;
-            return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-          }
+        shard, gen, views[i], dir, [&, i](const net::PacketView& v) -> uint64_t {
+          // `v` is this packet, or the synthetic forward view of a
+          // stale-epoch reverse re-decide.
+          WritePacketDescriptor(v, exec.vm.slot(i), gen.payload_bytes_needed);
           Result<uint64_t> run = burst->Call(i);
           if (!run.ok()) {
             ++shard.stats.vm_faults;

@@ -154,7 +154,11 @@ struct FilterStats {
   uint64_t reloads = 0;            // successful Load/LoadCertified calls
   uint64_t events_raised = 0;
   uint64_t vm_faults = 0;  // sandboxed program faulted; packet fail-closed
-  uint64_t descriptor_faults = 0;     // descriptor marshalling failed; fail-closed
+  // Always 0: every window the filter marshals into is proved to hold a
+  // descriptor when the program is loaded (kFilterBatchSlot for classifiers,
+  // InstantiateChains for procedures). Kept so stats slot 10 and the
+  // readers that sum it keep their meaning.
+  uint64_t descriptor_faults = 0;
   uint64_t flow_reevaluations = 0;    // stale-epoch flow hits sent back to the rules
   uint64_t proc_blocks = 0;           // packets a procedure blocked
   uint64_t proc_faults = 0;           // procedure faulted/ran dry; packet dropped
@@ -186,14 +190,16 @@ inline constexpr std::string_view kFilterStatsSlotNames[] = {
 
 // Sharded data-plane limits. kMaxFilterShards bounds the steering set the
 // batch path tracks in one machine word. Every shard's classifier Vm is
-// built with kMaxFilterBatch slots: a burst chunk marshals up to
-// kMaxFilterBatch descriptors, packet i into slot i, then evaluates each
-// over its own window (one VM burst per shard per chunk, amortizing the
-// native prologue across the burst). A slot is the Vm's window for the
-// compiled classifier, whose declared memory is one descriptor.
+// built with kMaxFilterBatch slots: packet i of a burst chunk of up to
+// kMaxFilterBatch is marshalled into slot i and evaluated over that window
+// (one VM burst per shard per chunk, amortizing the native prologue across
+// the burst). A slot is the Vm's window for the compiled classifier, whose
+// declared memory is one descriptor.
 inline constexpr size_t kMaxFilterShards = 64;
 inline constexpr size_t kMaxFilterBatch = net::kBurstChunk;  // packets per burst chunk
 inline constexpr size_t kFilterBatchSlot = sfi::analysis::UsableMemorySize(kDescriptorBytes);
+// The data plane marshals into classifier slots without a size check.
+static_assert(kFilterBatchSlot >= kDescriptorBytes);
 
 class PacketFilter : public obj::Object {
  public:
@@ -225,11 +231,12 @@ class PacketFilter : public obj::Object {
   // Evaluates a burst: decisions[i] receives views[i]'s verdict, with
   // per-packet verdicts, flow-table updates, stats, and procedure-chain
   // semantics bit-identical to calling Evaluate in a loop (the differential
-  // test enforces it). The win is amortization: descriptors are marshalled
-  // into per-shard VM slot memory up front, each touched shard pins the
-  // generation once, and each shard's classifier runs as one Vm::Burst —
-  // JitContext invariants written once, stats flushed once. Requires
-  // decisions.size() >= views.size().
+  // test enforces it). The win is amortization: each touched shard pins the
+  // generation once, and each shard's classifier runs as one Vm::Burst over
+  // per-packet slots — JitContext invariants written once, stats flushed
+  // once. A descriptor is marshalled only for a packet the classifier runs
+  // on (all of them, before one CallMany, when flow tracking is off).
+  // Requires decisions.size() >= views.size().
   void EvaluateBatch(std::span<const net::PacketView> views, net::FilterDirection dir,
                      std::span<net::FilterDecision> decisions);
 
@@ -272,9 +279,9 @@ class PacketFilter : public obj::Object {
   FilterStats stats() const;
   // Classifier VmStats merged across the live generation's shard VMs.
   sfi::VmStats vm_stats() const;
-  // Shard 0's VM bound to the installed program (diagnostics and
-  // fault-injection tests; Evaluate owns its descriptor memory between
-  // packets). Single-shard filters — the default — have exactly one.
+  // Shard 0's VM bound to the installed program (diagnostics: stats, backend,
+  // window layout). Evaluate rewrites the descriptor memory on every
+  // classifier run. Single-shard filters — the default — have exactly one.
   sfi::Vm& vm() { return LiveGen()->shards[0]->vm; }
   const sfi::VerifiedProgram& verified_program() const { return *LiveGen()->program; }
   // Shard 0's flow-table partition (the whole table when shards == 1), or a
@@ -407,7 +414,7 @@ class PacketFilter : public obj::Object {
   // records the ticks into the per-verdict histogram.
   void RecordClassifyLatency(net::FilterVerdict verdict, uint64_t ticks);
   // Single-packet classifier run on `shard`'s VM of `gen` (descriptor at
-  // guest address 0), failing closed on marshal or VM faults.
+  // guest address 0), failing closed on VM faults.
   uint64_t Classify(Shard& shard, LoadedProgram& gen, const net::PacketView& view);
   void CountVerdict(Shard& shard, const net::FilterDecision& decision, net::FilterDirection dir);
   // Runs `decision`'s procedure chain (if any) over `view`, applying block /
@@ -415,17 +422,19 @@ class PacketFilter : public obj::Object {
   void RunChain(Shard& shard, LoadedProgram& gen, net::FilterDecision* decision,
                 const net::PacketView& view, net::FilterDirection dir);
   // The shared evaluation engine: flow fast path, stale-epoch re-decide,
-  // chain dispatch, verdict counting, flow establishment. `classify(view,
-  // synthetic)` runs the classifier — the single path runs the shard VM
-  // directly, the batch path calls into its per-shard burst (re-marshalling
-  // slot contents when `synthetic`). kSampled gates the 1-in-32 classifier
+  // chain dispatch, verdict counting, flow establishment. `classify(view)`
+  // returns the classifier's verdict on `view`, the packet itself or, on a
+  // stale-epoch reverse hit, a synthetic forward view: the single path
+  // marshals it into the shard VM's slot 0, the batch path into the packet's
+  // slot of its per-shard burst (or reads the verdict CallMany already
+  // produced for that slot). kSampled gates the 1-in-32 classifier
   // trace sampling (single-packet path only), which FilterStats never sees —
   // so batch and single stats stay bit-identical.
   template <bool kSampled, typename ClassifyFn>
   net::FilterDecision EvaluateOn(Shard& shard, LoadedProgram& gen, const net::PacketView& view,
                                  net::FilterDirection dir, ClassifyFn&& classify);
   // One chunk of at most kMaxFilterBatch packets: steer, pin touched shards,
-  // pre-marshal descriptors, evaluate in order through per-shard bursts.
+  // evaluate in order through per-shard bursts.
   void EvaluateChunk(std::span<const net::PacketView> views, net::FilterDirection dir,
                      net::FilterDecision* out);
 

@@ -17,6 +17,7 @@
 #include "src/filter/filter.h"
 #include "src/filter/rule.h"
 #include "src/nucleus/cert.h"
+#include "src/sfi/assembler.h"
 #include "src/sfi/vm.h"
 
 namespace para::filter {
@@ -157,6 +158,59 @@ TEST(RuleProcRegistryTest, LoadFailsClosedOnBadProcedures) {
   FilterDecision d = (*filter)->Evaluate(WebPacket(), FilterDirection::kIngress);
   EXPECT_EQ(d.verdict, FilterVerdict::kPass);
   EXPECT_EQ((*filter)->stats().proc_invocations, 1u);
+
+  // A custom registry can generate a procedure whose declared memory cannot
+  // hold the packet descriptor the filter marshals before every run. The
+  // window is proved at load, once: both load paths refuse the rule set and
+  // the previous install keeps serving.
+  RuleProcRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register("count",
+                            [](const RuleProcSpec& spec) { return BuiltIns().Generate(spec); })
+                  .ok());
+  ASSERT_TRUE(registry
+                  .Register("window",
+                            [](const RuleProcSpec& spec) -> Result<sfi::Program> {
+                              sfi::Assembler as;
+                              as.EntryPoint();
+                              as.EmitPush(0);
+                              as.Emit(sfi::Op::kRetV);
+                              return as.Finish(spec.Arg("bytes", 64));
+                            })
+                  .ok());
+  FilterConfig config;
+  config.procs = &registry;
+  auto custom = PacketFilter::Create(config);
+  ASSERT_TRUE(custom.ok());
+  ASSERT_TRUE((*custom)->Load(*good).ok());
+  CertEnv env;
+  for (size_t bytes : {size_t{64}, kDescriptorBytes - 1}) {
+    auto small = ParseRules("pass dport 80 proc window(bytes=" + std::to_string(bytes) +
+                            ")\npass dport 81\ndefault drop\n");
+    ASSERT_TRUE(small.ok());
+    EXPECT_EQ((*custom)->Load(*small).code(), ErrorCode::kInvalidArgument) << bytes;
+    EXPECT_EQ((*custom)->LoadCertified(*small, env.signer, env.service).code(),
+              ErrorCode::kInvalidArgument)
+        << bytes;
+    EXPECT_EQ((*custom)->rule_count(), 1u);
+    ASSERT_EQ((*custom)->chains().size(), 1u);
+    EXPECT_EQ((*custom)->chains()[0][0]->spec.name, "count");
+  }
+  EXPECT_EQ((*custom)->mode(), sfi::ExecMode::kSandboxed);
+  d = (*custom)->Evaluate(WebPacket(), FilterDirection::kIngress);
+  EXPECT_EQ(d.verdict, FilterVerdict::kPass);
+  EXPECT_EQ((*custom)->stats().proc_invocations, 1u);
+  EXPECT_EQ((*custom)->stats().proc_faults, 0u);
+
+  // Exactly one descriptor is enough.
+  auto exact = ParseRules("pass dport 80 proc window(bytes=" + std::to_string(kDescriptorBytes) +
+                          ")\ndefault drop\n");
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE((*custom)->Load(*exact).ok());
+  d = (*custom)->Evaluate(WebPacket(5000), FilterDirection::kIngress);
+  EXPECT_EQ(d.verdict, FilterVerdict::kPass);
+  EXPECT_EQ((*custom)->stats().proc_invocations, 2u);
+  EXPECT_EQ((*custom)->stats().proc_faults, 0u);
 }
 
 // --- state isolation and TTL normalization -----------------------------------

@@ -54,7 +54,9 @@ std::string RandomRuleText(para::Random& rng) {
       text += " dport " + std::to_string(lo) + "-" + std::to_string(lo + rng.NextBelow(32));
     }
     if (rng.NextBelow(4) == 0) {
-      text += " payload 0=0x40/0xC0";
+      // Any offset in the capture window, so the per-slot marshal is checked
+      // at full capture width.
+      text += " payload " + std::to_string(rng.NextBelow(kMaxPayloadCapture)) + "=0x40/0xC0";
     }
     if (rng.NextBelow(3) == 0) {
       text += rng.NextBelow(2) == 0 ? " proc count"
@@ -82,7 +84,9 @@ BurstCase RandomBurst(para::Random& rng) {
     const bool reply = rng.NextBelow(2) == 0;
 
     auto& payload = burst.payloads.emplace_back();
-    payload.resize(rng.NextBelow(32));
+    // Up to past the capture window: every payload offset a rule may test
+    // is reachable, and longer payloads are cut at the capture width.
+    payload.resize(rng.NextBelow(kMaxPayloadCapture + 32));
     for (auto& byte : payload) {
       byte = static_cast<uint8_t>(rng.Next32());
     }

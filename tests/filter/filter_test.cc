@@ -965,9 +965,11 @@ TEST(PacketFilterTest, HotReloadKeepAliveIsOptIn) {
 TEST(PacketFilterTest, DescriptorMarshallingFailureFailsClosed) {
   // A span that cannot hold a whole descriptor is refused, untouched: a
   // classifier run over a partly written descriptor would score the bytes
-  // the previous packet left behind. The filter never hands the marshaller
-  // such a span — each shard Vm has kMaxFilterBatch fixed windows, each big
-  // enough for one descriptor — so this is the marshaller's own contract.
+  // the previous packet left behind. That is the marshaller's own contract,
+  // for callers with arbitrary spans. The filter never hands it such a span
+  // and has no per-packet failure path: each shard Vm has kMaxFilterBatch
+  // fixed windows of kFilterBatchSlot >= kDescriptorBytes (a static_assert),
+  // and a procedure declaring less memory than a descriptor fails its load.
   auto rules = ParseRules("drop dport 23\ndefault pass\n");
   ASSERT_TRUE(rules.ok());
   FilterConfig config;
