@@ -6,13 +6,15 @@
 // allowing components to be more efficient."
 //
 // Three measurements:
-//   1. the one-time load cost: SHA-256 digest + RSA verify, by code size;
+//   1. the one-time load cost: SHA-256 digest + RSA verify, by code size
+//      (and the raw RSA sign/verify rows by modulus size);
 //   2. the recurring cost: the same bytecode workload executed trusted
 //      (no checks) vs sandboxed (bounds checks + metering);
 //   3. the crossover: how many invocations amortize one certification.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 
 #include "src/base/log.h"
@@ -109,6 +111,35 @@ void BM_ValidateCertificate(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 
+// Raw RSA cost by modulus size: the private-key operation a delegate pays
+// per certificate, and the public-key check (e = 65537) the kernel pays.
+const crypto::RsaKeyPair& KeysOfBits(size_t bits) {
+  static std::map<size_t, crypto::RsaKeyPair> keys;
+  auto it = keys.find(bits);
+  if (it == keys.end()) {
+    para::Random rng(0xB175 + bits);
+    it = keys.emplace(bits, crypto::GenerateKeyPair(bits, rng)).first;
+  }
+  return it->second;
+}
+
+void BM_RsaSign(benchmark::State& state) {
+  const crypto::RsaKeyPair& keys = KeysOfBits(static_cast<size_t>(state.range(0)));
+  const crypto::Digest digest = crypto::Sha256::HashString("bench");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Sign(keys.private_key, digest));
+  }
+}
+
+void BM_RsaVerify(benchmark::State& state) {
+  const crypto::RsaKeyPair& keys = KeysOfBits(static_cast<size_t>(state.range(0)));
+  const crypto::Digest digest = crypto::Sha256::HashString("bench");
+  const std::vector<uint8_t> signature = crypto::Sign(keys.private_key, digest);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Verify(keys.public_key, digest, signature));
+  }
+}
+
 void BM_RunTrusted(benchmark::State& state) {
   auto program = sfi::Verify(ChecksumProgram());
   PARA_CHECK(program.ok());
@@ -197,6 +228,8 @@ void WorkloadArgs(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(BM_CertifyComponent)->Arg(1024)->Arg(16384)->Arg(262144);
 BENCHMARK(BM_ValidateCertificate)->Arg(1024)->Arg(16384)->Arg(262144);
+BENCHMARK(BM_RsaSign)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RunTrusted)->Apply(WorkloadArgs);
 BENCHMARK(BM_RunSandboxed)->Apply(WorkloadArgs);
 BENCHMARK(BM_CertificationCrossover);

@@ -8,7 +8,71 @@
 namespace para::crypto {
 
 namespace {
+
 constexpr size_t kLimbBits = 32;
+constexpr size_t kWindowBits = 4;  // fixed exponent window; divides kLimbBits
+constexpr size_t kWindowSize = size_t{1} << kWindowBits;
+
+// 32-bit limbs -> `words` 64-bit limbs (zero-extended), and back.
+std::vector<uint64_t> Widen(const std::vector<uint32_t>& limbs, size_t words) {
+  std::vector<uint64_t> out(words, 0);
+  for (size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= uint64_t{limbs[i]} << (kLimbBits * (i % 2));
+  }
+  return out;
+}
+
+std::vector<uint32_t> Narrow(const uint64_t* words, size_t count) {
+  std::vector<uint32_t> out(2 * count);
+  for (size_t i = 0; i < count; ++i) {
+    out[2 * i] = static_cast<uint32_t>(words[i]);
+    out[2 * i + 1] = static_cast<uint32_t>(words[i] >> kLimbBits);
+  }
+  return out;
+}
+
+// Montgomery multiplication over an odd n-word modulus m, R = 2^(64n):
+// out = a * b * R^-1 mod m for a, b < m, by Coarsely Integrated Operand
+// Scanning (Koc, Acar, Kaliski 1996). `t` is n + 2 words of scratch; `out`
+// may alias a or b.
+void MontMul(const uint64_t* a, const uint64_t* b, const uint64_t* m, uint64_t m_inv,
+             size_t n, uint64_t* t, uint64_t* out) {
+  using u128 = unsigned __int128;
+  std::fill(t, t + n + 2, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < n; ++j) {
+      u128 cur = u128{t[j]} + u128{a[j]} * b[i] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    u128 top = u128{t[n]} + carry;
+    t[n] = static_cast<uint64_t>(top);
+    t[n + 1] = static_cast<uint64_t>(top >> 64);
+    // Add q*m with q chosen so the low word cancels, then shift one word.
+    uint64_t q = t[0] * m_inv;
+    carry = static_cast<uint64_t>((u128{t[0]} + u128{q} * m[0]) >> 64);
+    for (size_t j = 1; j < n; ++j) {
+      u128 cur = u128{t[j]} + u128{q} * m[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    top = u128{t[n]} + carry;
+    t[n - 1] = static_cast<uint64_t>(top);
+    t[n] = t[n + 1] + static_cast<uint64_t>(top >> 64);
+  }
+  // t < 2m (so t[n] <= 1): subtract m once unless that borrows past t[n].
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < n; ++j) {
+    u128 diff = u128{t[j]} - m[j] - borrow;
+    out[j] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+  if (borrow > t[n]) {
+    std::copy(t, t + n, out);
+  }
+}
+
 }  // namespace
 
 BigNum::BigNum(uint64_t value) {
@@ -373,15 +437,59 @@ BigNum BigNum::Mod(const BigNum& a, const BigNum& m) {
 
 BigNum BigNum::ModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus) {
   PARA_CHECK(!modulus.is_zero());
-  BigNum result(1);
-  BigNum b = Mod(base, modulus);
-  size_t bits = exponent.bit_length();
-  for (size_t i = 0; i < bits; ++i) {
-    if (exponent.Bit(i)) {
-      result = Mod(Mul(result, b), modulus);
+  if (!modulus.is_odd()) {
+    // Montgomery needs an odd modulus; nothing hot uses an even one.
+    BigNum result(1);
+    for (size_t i = exponent.bit_length(); i-- > 0;) {
+      result = Mod(Mul(result, result), modulus);
+      if (exponent.Bit(i)) {
+        result = Mod(Mul(result, base), modulus);
+      }
     }
-    b = Mod(Mul(b, b), modulus);
+    return result;
   }
+  const size_t n = (modulus.limbs_.size() + 1) / 2;
+  const std::vector<uint64_t> m = Widen(modulus.limbs_, n);
+  // m_inv = -m^-1 mod 2^64 by Newton's iteration (each step doubles the
+  // correct low bits; m[0] alone is correct to 3).
+  uint64_t inv = m[0];
+  for (int i = 0; i < 5; ++i) {
+    inv *= 2 - m[0] * inv;
+  }
+  const uint64_t m_inv = 0 - inv;
+  // Scratch, allocated once: t (n + 2), the window table x^0 .. x^15 in
+  // Montgomery form (16n), and the accumulator (n).
+  std::vector<uint64_t> scratch((n + 2) + kWindowSize * n + n, 0);
+  uint64_t* t = scratch.data();
+  uint64_t* table = t + n + 2;
+  uint64_t* acc = table + kWindowSize * n;
+  const std::vector<uint64_t> r2 = Widen(Mod(ShiftLeft(BigNum(1), 128 * n), modulus).limbs_, n);
+  const std::vector<uint64_t> x = Widen(Mod(base, modulus).limbs_, n);
+  std::vector<uint64_t> plain_one(n, 0);
+  plain_one[0] = 1;
+  // Into Montgomery form: MontMul(y, R^2 mod m) = y * R mod m.
+  MontMul(plain_one.data(), r2.data(), m.data(), m_inv, n, t, table);
+  MontMul(x.data(), r2.data(), m.data(), m_inv, n, t, table + n);
+  for (size_t w = 2; w < kWindowSize; ++w) {
+    MontMul(table + (w - 1) * n, table + n, m.data(), m_inv, n, t, table + w * n);
+  }
+  // Left to right, one window at a time (32-bit limbs hold whole windows).
+  std::copy(table, table + n, acc);
+  for (size_t w = (exponent.bit_length() + kWindowBits - 1) / kWindowBits; w-- > 0;) {
+    for (size_t k = 0; k < kWindowBits; ++k) {
+      MontMul(acc, acc, m.data(), m_inv, n, t, acc);
+    }
+    const size_t bit = w * kWindowBits;
+    const size_t digit = (exponent.limbs_[bit / kLimbBits] >> (bit % kLimbBits)) % kWindowSize;
+    if (digit != 0) {
+      MontMul(acc, table + digit * n, m.data(), m_inv, n, t, acc);
+    }
+  }
+  // Out of Montgomery form: MontMul(y * R, 1) = y.
+  MontMul(acc, plain_one.data(), m.data(), m_inv, n, t, acc);
+  BigNum result;
+  result.limbs_ = Narrow(acc, n);
+  result.Trim();
   return result;
 }
 

@@ -1,7 +1,8 @@
 // Arbitrary-precision unsigned integers, from scratch, sized for RSA
 // (512-2048 bit moduli). 32-bit limbs, little-endian limb order, uint64_t
-// intermediates; division is Knuth Algorithm D. Only the operations the
-// certification service needs are provided.
+// intermediates; division is Knuth Algorithm D. ModExp converts to 64-bit
+// limbs at its boundary and runs Montgomery multiplication there. Only the
+// operations the certification service needs are provided.
 #ifndef PARAMECIUM_SRC_CRYPTO_BIGNUM_H_
 #define PARAMECIUM_SRC_CRYPTO_BIGNUM_H_
 
@@ -37,8 +38,6 @@ class BigNum {
   size_t bit_length() const;
   bool Bit(size_t index) const;
 
-  uint32_t LowWord() const { return limbs_.empty() ? 0 : limbs_[0]; }
-
   // Comparison: <0, 0, >0 like memcmp.
   static int Compare(const BigNum& a, const BigNum& b);
   bool operator==(const BigNum& other) const { return Compare(*this, other) == 0; }
@@ -59,7 +58,10 @@ class BigNum {
   static BigNum ShiftLeft(const BigNum& a, size_t bits);
   static BigNum ShiftRight(const BigNum& a, size_t bits);
 
-  // (base ^ exponent) mod modulus; square-and-multiply.
+  // (base ^ exponent) mod modulus. Odd moduli (RSA's, Miller-Rabin's) use
+  // Montgomery multiplication (CIOS, 64-bit limbs, scratch allocated once)
+  // with a fixed 4-bit window scanned left to right; even moduli fall back to
+  // plain square-and-multiply. Not constant-time.
   static BigNum ModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus);
   // Multiplicative inverse of a mod m (extended Euclid); returns zero when
   // gcd(a, m) != 1.

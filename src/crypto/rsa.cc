@@ -58,7 +58,13 @@ RsaKeyPair GenerateKeyPair(size_t bits, para::Random& rng) {
     }
     RsaKeyPair pair;
     pair.public_key = RsaPublicKey{n, e};
-    pair.private_key = RsaPrivateKey{n, d};
+    pair.private_key = RsaPrivateKey{n,
+                                     e,
+                                     p,
+                                     q,
+                                     BigNum::Mod(d, BigNum::Sub(p, BigNum(1))),
+                                     BigNum::Mod(d, BigNum::Sub(q, BigNum(1))),
+                                     BigNum::ModInverse(q, p)};
     return pair;
   }
 }
@@ -67,7 +73,14 @@ std::vector<uint8_t> Sign(const RsaPrivateKey& key, const Digest& digest) {
   size_t len = (key.modulus.bit_length() + 7) / 8;
   std::vector<uint8_t> padded = PadDigest(digest, len);
   BigNum m = BigNum::FromBytes(padded);
-  BigNum s = BigNum::ModExp(m, key.exponent, key.modulus);
+  BigNum sp = BigNum::ModExp(m, key.dp, key.p);
+  BigNum sq = BigNum::ModExp(m, key.dq, key.q);
+  // Garner: s = sq + q * (qInv * (sp - sq) mod p).
+  BigNum sq_p = BigNum::Mod(sq, key.p);
+  BigNum diff = sp >= sq_p ? BigNum::Sub(sp, sq_p) : BigNum::Sub(BigNum::Add(sp, key.p), sq_p);
+  BigNum h = BigNum::Mod(BigNum::Mul(key.qinv, diff), key.p);
+  BigNum s = BigNum::Add(sq, BigNum::Mul(h, key.q));
+  PARA_CHECK(BigNum::ModExp(s, key.public_exponent, key.modulus) == m);
   return s.ToBytesPadded(len);
 }
 

@@ -26,9 +26,18 @@ struct RsaPublicKey {
   Digest Fingerprint() const;
 };
 
+// The CRT form of the private key (PKCS#1's p, q, dP, dQ, qInv). Sign works
+// mod p and mod q separately and recombines with Garner's formula, then
+// checks s^e == m mod n before releasing s: a fault in one half would
+// otherwise leak a factor of n (Boneh-DeMillo-Lipton). d itself is not kept.
 struct RsaPrivateKey {
-  BigNum modulus;   // n
-  BigNum exponent;  // d
+  BigNum modulus;          // n = p * q
+  BigNum public_exponent;  // e, for the fault check
+  BigNum p;
+  BigNum q;
+  BigNum dp;    // d mod (p - 1)
+  BigNum dq;    // d mod (q - 1)
+  BigNum qinv;  // q^-1 mod p
 };
 
 struct RsaKeyPair {
@@ -39,7 +48,8 @@ struct RsaKeyPair {
 // Generates a key pair with `bits`-bit modulus (p, q each bits/2).
 RsaKeyPair GenerateKeyPair(size_t bits, para::Random& rng);
 
-// Signs a SHA-256 digest. The signature is modulus_bytes() long.
+// Signs a SHA-256 digest. The signature is modulus_bytes() long. Panics if
+// the CRT result fails the s^e == m check (a corrupted key half).
 std::vector<uint8_t> Sign(const RsaPrivateKey& key, const Digest& digest);
 
 // Verifies a signature over `digest`. Status is kCertificateInvalid on any

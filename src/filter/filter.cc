@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdlib>
 #include <optional>
+#include <unordered_map>
 
 #include "src/base/log.h"
 #include "src/sfi/verifier.h"
@@ -187,6 +188,12 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
   for (std::vector<ProcChain>& chains : per_shard) {
     chains.reserve(compiled.chains.size());
   }
+  // Generate/verify/certify ONCE per distinct (spec name, program): shards
+  // and the links of byte-identical specs share the verified (and certified)
+  // artifact and differ only in VM state. Certification is deterministic, so
+  // a repeat would only sign the same certificate again. KeyOf is
+  // self-delimiting, so appending the name keeps the key injective.
+  std::unordered_map<std::string, std::shared_ptr<const sfi::VerifiedProgram>> distinct;
   uint16_t ordinal = 0;
   for (const std::vector<RuleProcSpec>& specs : compiled.chains) {
     std::vector<ProcChain> chain(nshards);
@@ -195,10 +202,8 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
         // The event encoding carries the procedure id in 11 bits.
         return Status(ErrorCode::kResourceExhausted, "too many procedure instances");
       }
-      // Generate/verify/certify ONCE per spec: shards share the verified
-      // (and certified) artifact and differ only in VM state. Ordinals are
-      // identical across shards, so event details agree wherever the packet
-      // steered.
+      // Ordinals are identical across shards, so event details agree
+      // wherever the packet steered.
       PARA_ASSIGN_OR_RETURN(sfi::Program program, registry.Generate(spec));
       if (program.memory_bytes < kDescriptorBytes) {
         // RunChain marshals the descriptor into the procedure's window before
@@ -207,17 +212,21 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
         return Status(ErrorCode::kInvalidArgument,
                       "procedure memory cannot hold the packet descriptor");
       }
-      PARA_ASSIGN_OR_RETURN(std::shared_ptr<const sfi::VerifiedProgram> verified,
-                            VerifyProgram(program));
-      if (mode == sfi::ExecMode::kTrusted) {
-        // Every procedure is certified in its own right — a chain is only as
-        // trusted as its least-trusted link, so there is no blanket grant.
-        PARA_ASSIGN_OR_RETURN(
-            nucleus::Certificate cert,
-            certifier->Certify(config_.name + "/" + spec.name, epoch() + 1,
-                               verified->identity(), nucleus::kCertKernelEligible,
-                               /*now=*/epoch() + 1));
-        PARA_RETURN_IF_ERROR(service->ValidateForKernel(cert, verified->identity()));
+      std::shared_ptr<const sfi::VerifiedProgram>& verified =
+          distinct[sfi::VerifiedProgramCache::KeyOf(program, {}) + spec.name];
+      if (verified == nullptr) {
+        PARA_ASSIGN_OR_RETURN(verified, VerifyProgram(program));
+        if (mode == sfi::ExecMode::kTrusted) {
+          // Every distinct procedure is certified in its own right — a chain
+          // is only as trusted as its least-trusted link, so there is no
+          // blanket grant.
+          PARA_ASSIGN_OR_RETURN(
+              nucleus::Certificate cert,
+              certifier->Certify(config_.name + "/" + spec.name, epoch() + 1,
+                                 verified->identity(), nucleus::kCertKernelEligible,
+                                 /*now=*/epoch() + 1));
+          PARA_RETURN_IF_ERROR(service->ValidateForKernel(cert, verified->identity()));
+        }
       }
       ++ordinal;
       for (size_t s = 0; s < nshards; ++s) {

@@ -393,10 +393,11 @@ class PacketFilter : public obj::Object {
   explicit PacketFilter(FilterConfig config);
 
   Result<std::shared_ptr<const sfi::VerifiedProgram>> VerifyProgram(const sfi::Program& program);
-  // Generates, verifies and (for kTrusted) certifies each procedure spec in
-  // `compiled.chains` ONCE, then instantiates one VM per spec per shard from
-  // the same verified program (ordinals identical across shards). Any
-  // failure fails the whole load — nothing partial is ever installed.
+  // Generates each procedure spec in `compiled.chains`, verifies and (for
+  // kTrusted) certifies each distinct (spec name, program) ONCE, then
+  // instantiates one VM per spec per shard from the shared verified program
+  // (ordinals identical across shards). Any failure fails the whole load —
+  // nothing partial is ever installed.
   // Returns chains indexed [shard][chain].
   Result<std::vector<std::vector<ProcChain>>> InstantiateChains(
       const CompiledFilter& compiled, sfi::ExecMode mode, nucleus::Certifier* certifier,

@@ -152,6 +152,70 @@ TEST(BigNumTest, ModExpSmallKnown) {
   EXPECT_EQ(BigNum::ModExp(BigNum(7), BigNum(0), BigNum(13)), BigNum(1));
 }
 
+// The right-to-left square-and-multiply ModExp that preceded the Montgomery
+// one, kept verbatim as the differential oracle.
+BigNum OracleModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus) {
+  BigNum result(1);
+  BigNum b = BigNum::Mod(base, modulus);
+  size_t bits = exponent.bit_length();
+  for (size_t i = 0; i < bits; ++i) {
+    if (exponent.Bit(i)) {
+      result = BigNum::Mod(BigNum::Mul(result, b), modulus);
+    }
+    b = BigNum::Mod(BigNum::Mul(b, b), modulus);
+  }
+  return result;
+}
+
+// Random odd moduli at RSA sizes (and a few even ones, which take the plain
+// fallback), random bases below and above the modulus, random exponents.
+class ModExpDifferential : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ModExpDifferential, MatchesOracle) {
+  const size_t bits = GetParam();
+  para::Random rng(0x5EED0000 + bits);
+  const int iters = bits >= 2048 ? 3 : bits >= 1024 ? 6 : 20;
+  for (int iter = 0; iter < iters; ++iter) {
+    BigNum m = BigNum::RandomWithBits(bits, rng);
+    if (iter % 4 == 3) {
+      m = BigNum::ShiftLeft(BigNum::ShiftRight(m, 1), 1);  // even
+    } else if (!m.is_odd()) {
+      m = BigNum::Add(m, BigNum(1));
+    }
+    BigNum base = iter % 5 == 0 ? BigNum::RandomWithBits(bits + 37, rng)  // >= m
+                                : BigNum::RandomBelow(m, rng);
+    BigNum exponent = BigNum::RandomWithBits(1 + rng.NextBelow(bits), rng);
+    EXPECT_EQ(BigNum::ModExp(base, exponent, m), OracleModExp(base, exponent, m))
+        << "bits=" << bits << " iter=" << iter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ModExpDifferential, ::testing::Values(64, 512, 1024, 2048));
+
+TEST(BigNumTest, ModExpEdgeCasesMatchOracle) {
+  para::Random rng(0xED6E);
+  BigNum odd = BigNum::Add(BigNum::ShiftLeft(BigNum::RandomWithBits(511, rng), 1), BigNum(1));
+  BigNum even = BigNum::ShiftLeft(BigNum::RandomWithBits(511, rng), 1);
+  BigNum x = BigNum::RandomBelow(odd, rng);
+  // Exponents whose top window, an inner window, or every window but the
+  // lowest is all zero bits.
+  BigNum top_zero = BigNum::Add(BigNum::ShiftLeft(BigNum(1), 64), BigNum(0xF00F));
+  BigNum inner_zero = BigNum::FromHex("f0000000f00000000000000f");
+  BigNum low_only = BigNum(0x5);
+  for (const BigNum& m : {odd, even, BigNum(1), BigNum(3), BigNum(0xFFFFFFFFull),
+                          BigNum::Sub(BigNum::ShiftLeft(BigNum(1), 64), BigNum(1))}) {
+    for (const BigNum& base : {BigNum(), BigNum(1), x, BigNum::Add(m, x), m}) {
+      for (const BigNum& e : {BigNum(1), BigNum(2), BigNum(16), top_zero, inner_zero,
+                              low_only, BigNum::Add(m, BigNum(1))}) {
+        EXPECT_EQ(BigNum::ModExp(base, e, m), OracleModExp(base, e, m))
+            << base.ToHex() << " ^ " << e.ToHex() << " mod " << m.ToHex();
+      }
+      // x^0 = 1 mod m. (The oracle answers 1 even for m = 1.)
+      EXPECT_EQ(BigNum::ModExp(base, BigNum(), m), BigNum::Mod(BigNum(1), m));
+    }
+  }
+}
+
 TEST(BigNumTest, ModExpFermat) {
   // Fermat: a^(p-1) ≡ 1 mod p for prime p, gcd(a,p)=1.
   BigNum p(1000003);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/base/random.h"
 
 namespace para::crypto {
@@ -29,6 +31,10 @@ TEST_F(RsaTest, KeyShape) {
   EXPECT_EQ(keys_->public_key.exponent, BigNum(65537));
   EXPECT_EQ(keys_->public_key.modulus, keys_->private_key.modulus);
   EXPECT_EQ(keys_->public_key.modulus_bytes(), 64u);
+  const RsaPrivateKey& key = keys_->private_key;
+  EXPECT_EQ(BigNum::Mul(key.p, key.q), key.modulus);
+  EXPECT_EQ(key.public_exponent, keys_->public_key.exponent);
+  EXPECT_EQ(BigNum::Mod(BigNum::Mul(key.qinv, key.q), key.p), BigNum(1));
 }
 
 TEST_F(RsaTest, SignVerifyRoundTrip) {
@@ -86,6 +92,38 @@ TEST_F(RsaTest, FingerprintStableAndDistinct) {
 TEST_F(RsaTest, DeterministicSignatures) {
   Digest digest = Sha256::HashString("same input");
   EXPECT_EQ(Sign(keys_->private_key, digest), Sign(keys_->private_key, digest));
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// Wire-format lock: a fixed-seed key and a fixed digest must keep signing to
+// these exact bytes whatever the exponentiation underneath (key generation
+// consumes the RNG identically, and RSA signing is deterministic).
+TEST_F(RsaTest, GoldenSignatureBytes) {
+  EXPECT_EQ(keys_->public_key.modulus.ToHex(),
+            "85c31ff95150b91cf34e75bd228d73949cfd17aac3a249ba9d07d0456e1d8b0f"
+            "ff3ecaff4ab5493145e38818fdfb729d10d8936e822e1daeb6c56fbdf135a367");
+  auto signature = Sign(keys_->private_key, Sha256::HashString("golden wire bytes"));
+  EXPECT_EQ(Hex(signature),
+            "36cda725dcc1ee98f831023317538a3708b74f3bbee2515c67942256b6a59511"
+            "0be5fe4edae50ca3a4178f88e2ad221da6d6f4fc0eb54d3a9858a3c74248cb54");
+}
+
+// A fault in one CRT half yields an s that is right mod q and wrong mod p;
+// releasing it would hand out gcd(s^e - m, n) = q. Sign must refuse.
+TEST_F(RsaTest, CorruptedCrtHalfTripsFaultCheck) {
+  RsaPrivateKey faulty = keys_->private_key;
+  faulty.dp = BigNum::Add(faulty.dp, BigNum(2));
+  Digest digest = Sha256::HashString("fault me");
+  EXPECT_DEATH(Sign(faulty, digest), "check failed");
 }
 
 TEST(RsaKeygenTest, DistinctSeedsDistinctKeys) {

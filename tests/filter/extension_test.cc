@@ -213,6 +213,117 @@ TEST(RuleProcRegistryTest, LoadFailsClosedOnBadProcedures) {
   EXPECT_EQ((*custom)->stats().proc_faults, 0u);
 }
 
+// --- certify once per distinct program ---------------------------------------
+
+TEST(RuleProcCertTest, RepeatedSpecsAreCertifiedOnceAndShareTheirProgram) {
+  const std::string text =
+      "pass dport 80 proc count proc ratelimit(rate=5,burst=2) proc log(every=3)\n"
+      "pass dport 81 proc count proc ratelimit(rate=5,burst=2) proc log(every=3)\n"
+      "pass dport 82 proc count proc ratelimit(rate=5,burst=2) proc log(every=3)\n"
+      "pass dport 83 proc count proc ratelimit(rate=5,burst=2) proc log(every=3)\n"
+      "default drop\n";
+  auto rules = ParseRules(text);
+  ASSERT_TRUE(rules.ok());
+  FilterConfig config;
+  config.track_flows = false;
+  config.shards = 1;  // the test reads shard 0's chains directly
+  config.proc_seed = 0x5EED;
+  auto sandboxed = PacketFilter::Create(config);
+  auto trusted = PacketFilter::Create(config);
+  ASSERT_TRUE(sandboxed.ok());
+  ASSERT_TRUE(trusted.ok());
+  ASSERT_TRUE((*sandboxed)->Load(*rules).ok());
+
+  CertEnv env;
+  const uint64_t before = env.signer.issued();
+  ASSERT_TRUE((*trusted)->LoadCertified(*rules, env.signer, env.service).ok());
+  // The classifier plus 3 distinct procedures, not 1 + 12.
+  EXPECT_EQ(env.signer.issued() - before, 1u + 3u);
+
+  const auto& chains = (*trusted)->chains();
+  ASSERT_EQ(chains.size(), 4u);
+  for (size_t c = 0; c < chains.size(); ++c) {
+    ASSERT_EQ(chains[c].size(), 3u);
+    for (size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(chains[c][p]->program.get(), chains[0][p]->program.get()) << c << "/" << p;
+      // Shared program, separate state: the ordinals stay per link.
+      EXPECT_EQ(chains[c][p]->ordinal, c * 3 + p + 1);
+    }
+  }
+  EXPECT_NE(chains[0][0]->program.get(), chains[0][1]->program.get());
+  EXPECT_NE(chains[0][1]->program.get(), chains[0][2]->program.get());
+
+  for (int i = 0; i < 64; ++i) {
+    PacketView view = WebPacket(static_cast<net::Port>(4000 + i % 5),
+                                static_cast<net::Port>(80 + i % 5));
+    FilterDecision a = (*sandboxed)->Evaluate(view, FilterDirection::kIngress);
+    FilterDecision b = (*trusted)->Evaluate(view, FilterDirection::kIngress);
+    EXPECT_EQ(a.verdict, b.verdict) << "packet " << i;
+    EXPECT_EQ(a.rule, b.rule) << "packet " << i;
+  }
+  EXPECT_EQ((*sandboxed)->stats().proc_faults, (*trusted)->stats().proc_faults);
+  EXPECT_EQ((*sandboxed)->stats().proc_blocks, (*trusted)->stats().proc_blocks);
+  EXPECT_EQ((*sandboxed)->stats().proc_invocations, (*trusted)->stats().proc_invocations);
+  for (size_t c = 0; c < chains.size(); ++c) {
+    for (size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ((*sandboxed)->chains()[c][p]->invocations, chains[c][p]->invocations);
+    }
+  }
+}
+
+TEST(RuleProcCertTest, SameNameDifferentBytesAndSameBytesDifferentNameCertifySeparately) {
+  // "stamp" returns different program bytes on every call for the same spec;
+  // "tally" returns count's bytes under another name.
+  static uint64_t calls = 0;
+  RuleProcRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register("stamp",
+                            [](const RuleProcSpec&) -> Result<sfi::Program> {
+                              sfi::Assembler as;
+                              as.EntryPoint();
+                              as.EmitPush(++calls);
+                              as.Emit(sfi::Op::kDrop);
+                              as.EmitPush(0);
+                              as.Emit(sfi::Op::kRetV);
+                              return as.Finish(kDescriptorBytes);
+                            })
+                  .ok());
+  for (const char* name : {"count", "tally"}) {
+    ASSERT_TRUE(registry
+                    .Register(name,
+                              [](const RuleProcSpec& spec) {
+                                return BuiltIns().Generate(RuleProcSpec{"count", spec.args});
+                              })
+                    .ok());
+  }
+  FilterConfig config;
+  config.procs = &registry;
+  config.shards = 1;
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  auto rules = ParseRules(
+      "pass dport 80 proc stamp proc count\n"
+      "pass dport 81 proc stamp proc tally\n"
+      "pass dport 82 proc stamp proc count\n"
+      "default drop\n");
+  ASSERT_TRUE(rules.ok());
+  CertEnv env;
+  const uint64_t before = env.signer.issued();
+  ASSERT_TRUE((*filter)->LoadCertified(*rules, env.signer, env.service).ok());
+  // Classifier + 3 stamps + count + tally.
+  EXPECT_EQ(env.signer.issued() - before, 1u + 3u + 2u);
+  const auto& chains = (*filter)->chains();
+  ASSERT_EQ(chains.size(), 3u);
+  EXPECT_NE(chains[0][0]->program.get(), chains[1][0]->program.get());
+  EXPECT_NE(chains[1][0]->program.get(), chains[2][0]->program.get());
+  EXPECT_EQ(chains[0][1]->program.get(), chains[2][1]->program.get());
+  EXPECT_NE(chains[0][1]->program.get(), chains[1][1]->program.get());
+  EXPECT_EQ(chains[0][1]->program->identity(), chains[1][1]->program->identity());
+  FilterDecision d = (*filter)->Evaluate(WebPacket(4000, 81), FilterDirection::kIngress);
+  EXPECT_EQ(d.verdict, FilterVerdict::kPass);
+  EXPECT_EQ((*filter)->stats().proc_faults, 0u);
+}
+
 // --- state isolation and TTL normalization -----------------------------------
 
 TEST(RuleProcTest, ProcedureStateIsPerRuleNeverShared)

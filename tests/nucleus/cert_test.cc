@@ -94,6 +94,30 @@ TEST_F(CertTest, EndToEndCertifyAndValidate) {
   EXPECT_EQ(service.stats().accepted, 2u);
 }
 
+// Wire-format lock: a fixed-seed signer certifying a fixed component must
+// keep serializing to these exact bytes (signature included).
+TEST_F(CertTest, GoldenCertificateWireBytes) {
+  Certifier prover("prover", *prover_keys_,
+                   authority_->Grant("prover", prover_keys_->public_key, kCertKernelEligible),
+                   AcceptAll());
+  auto cert = prover.Certify("golden.component", 7, Code("golden component body"),
+                             kCertKernelEligible, 4242);
+  ASSERT_TRUE(cert.ok());
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : cert->Serialize()) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  EXPECT_EQ(hex,
+            "10000000676f6c64656e2e636f6d706f6e656e7407000000200000000066ec3a"
+            "b75a9fe5670123e5cb17b5f0c8b879b388ac2f1ef6da36c793ee66b120000000"
+            "366e9a8629ac6fbc984c9d1abea9dffd32f694bcc6a5715e6a8e6228fe6f8071"
+            "0100000092100000000000004000000075aaa7ca6fc88bc54e14ced3858836e3"
+            "34a12adcc24c736793b2b1ada8f7c70270dda45d8498f385e556c5fdcc570a98"
+            "da757c3e4ea267e2cf65454302c4bb62");
+}
+
 TEST_F(CertTest, ModifiedComponentRejected) {
   // "Certificates include a message digest of the component so that it is
   // impossible to modify the component after it has been certified."
