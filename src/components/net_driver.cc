@@ -1,7 +1,9 @@
 #include "src/components/net_driver.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 
 #include "src/base/log.h"
 
@@ -10,9 +12,9 @@ namespace para::components {
 using nucleus::kProtReadWrite;
 using nucleus::VAddr;
 
-NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService* events,
-                     hw::NetworkDevice* device, nucleus::Context* home)
-    : vmem_(vmem), events_(events), device_(device), home_(home) {
+NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, hw::NetworkDevice* device,
+                     nucleus::Context* home)
+    : vmem_(vmem), device_(device), home_(home) {
   // Same order as kNetDriverStatsSlotNames / the Stats() switch. The device
   // counters are behind accessors, so indices 0–2 are function-backed.
   metrics_.Fn("components.net_driver.frames_sent", [device] { return device->frames_sent(); },
@@ -26,9 +28,6 @@ NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService*
 }
 
 NetDriver::~NetDriver() {
-  if (event_registration_ != 0) {
-    (void)events_->Unregister(event_registration_);
-  }
   if (regs_ != 0) {
     (void)vmem_->UnmapIo(home_, regs_);
   }
@@ -41,7 +40,7 @@ Result<std::unique_ptr<NetDriver>> NetDriver::Create(nucleus::VirtualMemoryServi
   if (vmem == nullptr || events == nullptr || device == nullptr || home == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "driver needs vmem, events, device, home");
   }
-  auto driver = std::unique_ptr<NetDriver>(new NetDriver(vmem, events, device, home));
+  auto driver = std::unique_ptr<NetDriver>(new NetDriver(vmem, device, home));
   PARA_RETURN_IF_ERROR(driver->Setup());
   return driver;
 }
@@ -51,14 +50,8 @@ Status NetDriver::Setup() {
   PARA_ASSIGN_OR_RETURN(regs_, vmem_->MapDeviceRegisters(home_, device_));
   PARA_ASSIGN_OR_RETURN(buffer_, vmem_->MapDeviceBuffer(home_, device_, kProtReadWrite));
 
-  // RX interrupts become pop-up threads running OnRxInterrupt.
-  PARA_ASSIGN_OR_RETURN(
-      event_registration_,
-      events_->Register(nucleus::IrqEvent(device_->irq_line()), home_,
-                        [this](nucleus::EventNumber, uint64_t) { OnRxInterrupt(); },
-                        threads::DispatchMode::kProtoThread, "netdrv-rx"));
-
-  // Enable the device with RX interrupts.
+  // Enable the device with RX interrupts; whoever binds to IrqEvent() (the
+  // protocol stack) handles them by polling.
   PARA_RETURN_IF_ERROR(vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegCtrl,
                                         hw::NetworkDevice::kCtrlEnable |
                                             hw::NetworkDevice::kCtrlRxIrqEnable));
@@ -79,41 +72,6 @@ Status NetDriver::Setup() {
   return OkStatus();
 }
 
-void NetDriver::OnRxInterrupt() {
-  // Drain every frame the device has staged: read RX_LEN, copy the frame out
-  // of the buffer window, ack.
-  for (;;) {
-    auto status_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegStatus);
-    if (!status_reg.ok() || (*status_reg & hw::NetworkDevice::kStatusRxAvailable) == 0) {
-      return;
-    }
-    auto len_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen);
-    if (!len_reg.ok()) {
-      return;
-    }
-    size_t len = *len_reg;
-    std::vector<uint8_t> frame(len);
-    for (size_t off = 0; off < len; off += 4) {
-      auto word =
-          vmem_->ReadIo32(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset + off);
-      if (!word.ok()) {
-        return;
-      }
-      uint32_t v = *word;
-      size_t n = std::min<size_t>(4, len - off);
-      std::memcpy(frame.data() + off, &v, n);
-    }
-    if (frame_filter_ != nullptr && !frame_filter_(frame)) {
-      ++frames_filtered_;
-    } else {
-      rx_frames_.push_back(std::move(frame));
-    }
-    // Ack: write RX_LEN, which pumps the next queued frame (possibly raising
-    // the next interrupt).
-    (void)vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen, 1);
-  }
-}
-
 uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_t) {
   ++invocations_;
   if (len > hw::NetworkDevice::kMaxFrame) {
@@ -121,7 +79,8 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
   }
   // Pull the payload from the caller-domain address (the proxy has already
   // re-homed it for cross-domain calls), then stage it in the TX area.
-  std::vector<uint8_t> payload(len);
+  std::array<uint8_t, hw::NetworkDevice::kMaxFrame> buffer;
+  std::span<uint8_t> payload(buffer.data(), len);
   Status read = vmem_->Read(home_, payload_vaddr, payload);
   if (!read.ok()) {
     return ~uint64_t{0};
@@ -133,7 +92,7 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
   for (size_t off = 0; off < len; off += 4) {
     uint32_t word = 0;
     size_t n = std::min<size_t>(4, len - off);
-    std::memcpy(&word, payload.data() + off, n);
+    std::memcpy(&word, buffer.data() + off, n);
     Status wrote =
         vmem_->WriteIo32(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset + off, word);
     if (!wrote.ok()) {
@@ -147,16 +106,46 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
 
 uint64_t NetDriver::PollRecv(uint64_t dest_vaddr, uint64_t capacity, uint64_t, uint64_t) {
   ++invocations_;
-  if (rx_frames_.empty()) {
-    return 0;
+  // The device's RX area holds the frame; its queue is the only RX buffering.
+  // Filtered frames are acked and skipped, so one poll returns the next
+  // frame that passes.
+  for (;;) {
+    auto status_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegStatus);
+    if (!status_reg.ok() || (*status_reg & hw::NetworkDevice::kStatusRxAvailable) == 0) {
+      return 0;
+    }
+    auto len_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen);
+    if (!len_reg.ok()) {
+      return 0;
+    }
+    const size_t len = std::min<size_t>(*len_reg, hw::NetworkDevice::kMaxFrame);
+    std::array<uint8_t, hw::NetworkDevice::kMaxFrame> buffer;
+    for (size_t off = 0; off < len; off += 4) {
+      auto word =
+          vmem_->ReadIo32(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset + off);
+      if (!word.ok()) {
+        return 0;
+      }
+      uint32_t v = *word;
+      std::memcpy(buffer.data() + off, &v, std::min<size_t>(4, len - off));
+    }
+    std::span<const uint8_t> frame(buffer.data(), len);
+    // Writing RX_LEN acks the frame and pumps the next queued one into the
+    // RX area.
+    auto ack = [this] {
+      (void)vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen, 1);
+    };
+    if (frame_filter_ != nullptr && !frame_filter_(frame)) {
+      ++frames_filtered_;
+      ack();
+      continue;
+    }
+    // A frame too large for the caller's buffer is dropped, like real NICs
+    // do. Otherwise the ack waits until the caller's buffer holds the frame.
+    const bool delivered = len <= capacity && vmem_->Write(home_, dest_vaddr, frame).ok();
+    ack();
+    return delivered ? len : 0;
   }
-  std::vector<uint8_t> frame = std::move(rx_frames_.front());
-  rx_frames_.pop_front();
-  if (frame.size() > capacity) {
-    return 0;  // caller buffer too small; frame is dropped (like real NICs)
-  }
-  Status wrote = vmem_->Write(home_, dest_vaddr, frame);
-  return wrote.ok() ? frame.size() : 0;
 }
 
 uint64_t NetDriver::GetMac(uint64_t, uint64_t, uint64_t, uint64_t) {

@@ -3,13 +3,17 @@
 // nucleus") that can be instantiated in the kernel domain or a user domain.
 // It claims the device's register block as exclusive I/O space and the
 // on-device buffer as a (shareable) window, per the paper's I/O-space model.
+//
+// The driver keeps no RX queue of its own: PollRecv copies out the frame the
+// device holds in its RX area and acks it, so the device's queue is the only
+// RX buffering and overflow shows up in the device's frames_dropped. The
+// driver registers no interrupt handler either; a consumer (the protocol
+// stack) binds to IrqEvent() and polls when a frame arrives.
 #ifndef PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 #define PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 
-#include <deque>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "src/base/telemetry.h"
 #include "src/components/interfaces.h"
@@ -34,7 +38,8 @@ inline constexpr std::string_view kNetDriverStatsSlotNames[] = {
 
 class NetDriver : public obj::Object {
  public:
-  // Maps the device into `home` and hooks the RX interrupt. The driver
+  // Maps the device into `home` and enables it with RX interrupts. `events`
+  // must not be null; the driver itself registers no handler. The driver
   // exports NetDriverType() plus MeasurementType().
   static Result<std::unique_ptr<NetDriver>> Create(nucleus::VirtualMemoryService* vmem,
                                                    nucleus::EventService* events,
@@ -44,11 +49,10 @@ class NetDriver : public obj::Object {
   ~NetDriver() override;
 
   nucleus::Context* home() const { return home_; }
-  uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
   uint64_t frames_filtered() const { return frames_filtered_; }
 
   // Driver-level frame filter, applied on TX before the frame is staged and
-  // on RX before a frame enters the driver queue. Filtered frames are
+  // on RX when PollRecv takes the frame from the device. Filtered frames are
   // silently dropped (and counted), like a NIC-offloaded filter would.
   void SetFrameFilter(net::RawFrameHook hook) { frame_filter_ = std::move(hook); }
 
@@ -63,20 +67,16 @@ class NetDriver : public obj::Object {
   uint64_t ResetMeasurement(uint64_t, uint64_t, uint64_t, uint64_t);
 
  private:
-  NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService* events,
-            hw::NetworkDevice* device, nucleus::Context* home);
+  NetDriver(nucleus::VirtualMemoryService* vmem, hw::NetworkDevice* device,
+            nucleus::Context* home);
 
   Status Setup();
-  void OnRxInterrupt();
 
   nucleus::VirtualMemoryService* vmem_;
-  nucleus::EventService* events_;
   hw::NetworkDevice* device_;
   nucleus::Context* home_;
   nucleus::VAddr regs_ = 0;
   nucleus::VAddr buffer_ = 0;
-  uint64_t event_registration_ = 0;
-  std::deque<std::vector<uint8_t>> rx_frames_;  // driver-side RX queue
   net::RawFrameHook frame_filter_;
   uint64_t frames_filtered_ = 0;
   uint64_t invocations_ = 0;

@@ -1,5 +1,7 @@
 #include "src/components/protocol_stack.h"
 
+#include <array>
+#include <span>
 #include <utility>
 
 #include "src/base/log.h"
@@ -50,7 +52,6 @@ Status StackComponent::Setup(const std::string& driver_path, net::StackConfig co
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
   PARA_ASSIGN_OR_RETURN(rx_buffer_,
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
-  rx_frame_.reserve(nucleus::kPageSize);
 
   stack_ = std::make_unique<net::ProtocolStack>(
       config, [this](std::span<const uint8_t> frame) { return SendFrame(frame); });
@@ -83,22 +84,29 @@ Status StackComponent::SendFrame(std::span<const uint8_t> frame) {
 }
 
 void StackComponent::PumpRx() {
-  // Borrow the staging vector for the loop: a handler that re-enters PumpRx
-  // (say, a reply looped back to this stack) stages into a vector of its own
-  // instead of overwriting the frame being delivered.
-  std::vector<uint8_t> frame = std::exchange(rx_frame_, {});
+  // One pump at a time. A nested call returns at once and this loop, which
+  // polls until the device is empty, delivers the frames in order. Nesting
+  // comes from a handler (say, a reply looped back to this stack) or, when
+  // this pump runs outside an interrupt delivery (a promoted pop-up resumed
+  // by the scheduler), from the RX interrupt that poll_recv's ack raises
+  // while rx_buffer_ still holds the frame it returned.
+  if (pumping_) {
+    return;
+  }
+  pumping_ = true;
+  std::array<uint8_t, hw::NetworkDevice::kMaxFrame> buffer;
   for (;;) {
-    uint64_t len = driver_->Invoke(kDriverPollRecv, rx_buffer_, nucleus::kPageSize);
+    uint64_t len = driver_->Invoke(kDriverPollRecv, rx_buffer_, buffer.size());
     if (len == 0) {
       break;
     }
-    frame.resize(len);
+    std::span<uint8_t> frame(buffer.data(), len);
     if (!deps_.vmem->Read(home_, rx_buffer_, frame).ok()) {
       break;
     }
     stack_->OnFrame(frame);
   }
-  rx_frame_ = std::move(frame);
+  pumping_ = false;
 }
 
 uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_vaddr,

@@ -8,6 +8,12 @@
 // proxy. The component itself is identical in both placements — exactly the
 // paper's claim that components "can be configured dynamically to reside
 // either in the kernel or in the application's address space".
+//
+// Receive path: the device's RX interrupt pops up a thread in the stack's
+// domain that runs PumpRx, which calls the driver's poll_recv until it
+// returns 0. Each call takes the frame the device holds (the driver keeps
+// no queue of its own), so a frame crosses the domain boundary once, on
+// its way from the device into the stack.
 #ifndef PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 #define PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 
@@ -59,8 +65,9 @@ class StackComponent : public obj::Object {
   bool bound_via_proxy() const { return via_proxy_; }
   nucleus::Context* home() const { return home_; }
 
-  // Pulls every frame the driver has buffered into the stack (also invoked
-  // from the RX interrupt pop-up thread).
+  // Polls the driver until the device holds no more frames, handing each to
+  // the stack. The RX interrupt pop-up thread runs it. A call made while a
+  // pump is running returns at once; the running pump delivers the frames.
   void PumpRx();
 
   // Method implementations (see interfaces.h for the slot contract).
@@ -82,7 +89,7 @@ class StackComponent : public obj::Object {
   std::unique_ptr<net::ProtocolStack> stack_;
   nucleus::VAddr tx_buffer_ = 0;  // frame staging in the home domain
   nucleus::VAddr rx_buffer_ = 0;
-  std::vector<uint8_t> rx_frame_;  // PumpRx's reusable copy of rx_buffer_
+  bool pumping_ = false;  // PumpRx is running; see PumpRx
   uint64_t event_registration_ = 0;
   // Received payloads per bound port. Delivered datagrams only alias the
   // frame for the handler call, so the inbox keeps its own copies.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <optional>
 #include <unordered_map>
 
 #include "src/base/log.h"
@@ -656,10 +655,10 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   }
   LoadedProgram& gen = *LoadLivePinned();
 
-  // One Vm::Burst per touched shard, opened lazily: VmStats/telemetry
-  // flushed once, entered once per packet. Packet i's descriptor goes into
-  // slot i of its shard's VM, written where the classifier runs on it.
-  std::optional<sfi::Vm::Burst> bursts[kMaxFilterShards];
+  // One Vm::Burst per touched shard, opened lazily in the shard's ShardExec:
+  // VmStats/telemetry flushed once, entered once per packet. Packet i's
+  // descriptor goes into slot i of its shard's VM, written where the
+  // classifier runs on it.
 
   // Single-shard, flow-tracking-off chunks (the steered per-RX-queue shape)
   // hand the whole descriptor walk to the VM's burst trampoline: one entry
@@ -673,13 +672,13 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   // differential-identical.
   if (!config_.track_flows && (touched & (touched - 1)) == 0) {
     const size_t s0 = static_cast<size_t>(std::countr_zero(touched));
-    sfi::Vm& vm = gen.shards[s0]->vm;
+    ShardExec& exec = *gen.shards[s0];
     for (size_t i = 0; i < n; ++i) {
-      WritePacketDescriptor(views[i], vm.slot(i), gen.payload_bytes_needed);
+      WritePacketDescriptor(views[i], exec.vm.slot(i), gen.payload_bytes_needed);
     }
     uint64_t vm_pairs[2 * kMaxFilterBatch];
-    bursts[s0].emplace(vm.BeginBurst(0));
-    if (bursts[s0]->CallMany(0, n, vm_pairs)) {
+    exec.burst.emplace(exec.vm.BeginBurst(0));
+    if (exec.burst->CallMany(0, n, vm_pairs)) {
       Shard& shard = *shards_[s0];
       for (size_t i = 0; i < n; ++i) {
         // track_flows is off, so EvaluateOn classifies each packet exactly
@@ -696,7 +695,7 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
                                      return vm_pairs[2 * i];
                                    });
       }
-      bursts[s0].reset();
+      exec.burst.reset();
       UnpinShard(shard);
       return;
     }
@@ -705,16 +704,15 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
   for (size_t i = 0; i < n; ++i) {
     Shard& shard = *shards_[shard_of[i]];
     ShardExec& exec = *gen.shards[shard_of[i]];
-    std::optional<sfi::Vm::Burst>& burst = bursts[shard_of[i]];
-    if (!burst.has_value()) {
-      burst.emplace(exec.vm.BeginBurst(0));
+    if (!exec.burst.has_value()) {
+      exec.burst.emplace(exec.vm.BeginBurst(0));
     }
     out[i] = EvaluateOn<false>(
         shard, gen, views[i], dir, [&, i](const net::PacketView& v) -> uint64_t {
           // `v` is this packet, or the synthetic forward view of a
           // stale-epoch reverse re-decide.
           WritePacketDescriptor(v, exec.vm.slot(i), gen.payload_bytes_needed);
-          Result<uint64_t> run = burst->Call(i);
+          Result<uint64_t> run = exec.burst->Call(i);
           if (!run.ok()) {
             ++shard.stats.vm_faults;
             return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
@@ -722,13 +720,12 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
           return *run;
         });
   }
-  // Close the bursts (flushing their deferred VM stats into the pinned
-  // generation's VMs) BEFORE unpinning the shards.
-  for (std::optional<sfi::Vm::Burst>& burst : bursts) {
-    burst.reset();
-  }
+  // Close each touched shard's burst (flushing its deferred VM stats into
+  // the pinned generation's VM) BEFORE unpinning the shard.
   for (uint64_t bits = touched; bits != 0; bits &= bits - 1) {
-    UnpinShard(*shards_[static_cast<size_t>(std::countr_zero(bits))]);
+    const size_t s = static_cast<size_t>(std::countr_zero(bits));
+    gen.shards[s]->burst.reset();
+    UnpinShard(*shards_[s]);
   }
 }
 

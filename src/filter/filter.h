@@ -36,6 +36,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -336,12 +337,16 @@ class PacketFilter : public obj::Object {
 
   // Per-shard execution state bound to one installed generation: a
   // classifier VM (own JitContext, sharing the generation's verified program
-  // and its one compiled JitProgram) plus the shard's procedure-chain
-  // instances with their persistent per-shard VM state.
+  // and its one compiled JitProgram), the burst a chunk holds open on it,
+  // plus the shard's procedure-chain instances with their persistent
+  // per-shard VM state.
   struct ShardExec {
     ShardExec(const sfi::VerifiedProgram* p, sfi::ExecMode mode)
         : vm(p, mode, sfi::VmBackend::kAuto, kMaxFilterBatch) {}
     sfi::Vm vm;
+    // Open only inside EvaluateChunk, which owns the shard while it is
+    // pinned; declared after `vm` so it closes first.
+    std::optional<sfi::Vm::Burst> burst;
     std::vector<ProcChain> chains;  // chains[i] backs chain id i+1
   };
 

@@ -10,9 +10,9 @@
 #include "src/sfi/isa.h"
 
 // The backend is x86-64-only by design (ROADMAP names it the reference
-// target); PARA_SFI_JIT_DISABLED lets a build force the portable threaded
-// loop even on x86-64 (CI exercises that leg).
-#if defined(__x86_64__) && !defined(PARA_SFI_JIT_DISABLED)
+// target); PARA_SFI_NO_JIT=1 in the environment forces the portable threaded
+// loop at run time (see JitAvailable).
+#if defined(__x86_64__)
 #define PARA_SFI_JIT_BACKEND 1
 #include <sys/mman.h>
 #include <unistd.h>

@@ -9,13 +9,9 @@
 #include "src/sfi/jit.h"
 
 // Threaded-code dispatch needs GNU labels-as-values; every supported
-// toolchain (gcc, clang) has them. Anything else falls back to a switch
-// loop over the same pre-decoded stream — identical semantics, one extra
-// indirect branch per instruction.
-#if defined(__GNUC__) || defined(__clang__)
-#define PARA_SFI_THREADED 1
-#else
-#define PARA_SFI_THREADED 0
+// toolchain (gcc, clang) has them.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the SFI threaded loop needs labels-as-values (gcc or clang)"
 #endif
 
 namespace para::sfi {
@@ -29,9 +25,6 @@ namespace {
 // constructor sizes them with the analyzer's own UsableMemorySize.)
 static_assert(analysis::kStackSlots == Vm::kStackSlots,
               "analyzer stack-envelope proofs assume the VM stack size");
-
-[[maybe_unused]] constexpr uint8_t OpIndex(Op op) { return static_cast<uint8_t>(op); }
-[[maybe_unused]] constexpr uint8_t OpIndex(uint8_t raw) { return raw; }
 
 // Codes and messages are byte-identical to RunImpl's: callers (and the
 // differential tests) must not be able to tell the backends apart.
@@ -367,7 +360,6 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     ++counters.instructions;                                          \
   } while (0)
 
-#if PARA_SFI_THREADED
   static const void* const kLabels[kDecodedOpCount] = {
       &&lbl_halt, &&lbl_push, &&lbl_drop, &&lbl_dup, &&lbl_swap, &&lbl_add, &&lbl_sub,
       &&lbl_mul, &&lbl_divu, &&lbl_remu, &&lbl_and_, &&lbl_or_, &&lbl_xor_, &&lbl_shl,
@@ -388,20 +380,6 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     goto* kLabels[insn->op];      \
   } while (0)
 #define VM_DISPATCH_BEGIN() VM_NEXT();
-#define VM_DISPATCH_END()
-#else
-#define VM_OP(name, value) case OpIndex(value):
-#define VM_NEXT() continue
-#define VM_DISPATCH_BEGIN()                                       \
-  for (;;) {                                                      \
-    insn = code + pc;                                             \
-    switch (insn->op) {
-#define VM_DISPATCH_END()                                          \
-  default:                                                         \
-    return Status(ErrorCode::kInternal, "bad decoded opcode");     \
-    }                                                              \
-    }
-#endif
 
 #define VM_BINOP(name, value, expr)  \
   VM_OP(name, value) {               \
@@ -713,13 +691,10 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   VM_FUSED_PUSH_LOAD_ELIDED(pushload32e, kOpFusedPushLoad32Elided, 4)
   VM_FUSED_PUSH_LOAD_ELIDED(pushload64e, kOpFusedPushLoad64Elided, 8)
 
-  VM_DISPATCH_END()
-
 #undef VM_METER
 #undef VM_OP
 #undef VM_NEXT
 #undef VM_DISPATCH_BEGIN
-#undef VM_DISPATCH_END
 #undef VM_BINOP
 #undef VM_LOAD
 #undef VM_STORE

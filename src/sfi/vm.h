@@ -179,7 +179,7 @@ class Vm {
  private:
   // The dispatch loop, specialized per mode at compile time so trusted
   // execution carries no residue of the sandbox checks. Computed-goto
-  // threaded code under GCC/Clang, a switch loop elsewhere.
+  // threaded code (GNU labels-as-values; gcc and clang build it).
   // `slot` picks the window guest address 0 maps to.
   template <bool kSandboxed>
   Result<uint64_t> RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,

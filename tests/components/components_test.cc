@@ -146,7 +146,7 @@ TEST_F(ComponentsTest, NetDriverSendsAndReceives) {
                   .ok());
   EXPECT_EQ((*iface_a)->Invoke(0, *buf, sizeof(msg)), 0u);
 
-  // Let the frame cross the link; the RX interrupt fires driver B's pop-up.
+  // Let the frame cross the link; it waits in device B's RX area until polled.
   machine_.Advance(200);
   Settle();
 
@@ -162,6 +162,74 @@ TEST_F(ComponentsTest, NetDriverSendsAndReceives) {
   // Stats flow through.
   EXPECT_EQ((*iface_a)->Invoke(5, 0), 1u);  // tx
   EXPECT_EQ((*iface_b)->Invoke(5, 1), 1u);  // rx
+}
+
+// Frames pushed straight into device B's RX path, one byte of payload each:
+// frame i carries the byte i.
+void DeliverNumberedFrames(hw::NetworkDevice* device, int count) {
+  for (int i = 0; i < count; ++i) {
+    device->DeliverFrame(hw::Frame(8, static_cast<uint8_t>(i)));
+  }
+}
+
+TEST_F(ComponentsTest, NetDriverWithoutPollerStaysBounded) {
+  auto* vmem = &nucleus_->vmem();
+  auto* kernel = nucleus_->kernel_context();
+  auto driver = NetDriver::Create(vmem, &nucleus_->events(), net_b_, kernel);
+  ASSERT_TRUE(driver.ok());
+  auto iface = (*driver)->GetInterface(NetDriverType()->name());
+  ASSERT_TRUE(iface.ok());
+  EXPECT_EQ((*iface)->Invoke(4, 0), 0u);  // no RX interrupt consumer
+
+  // Nobody polls: the device holds one frame in its RX area and
+  // kRxQueueDepth more in its queue; the rest are dropped by the device.
+  constexpr int kHeld = 1 + static_cast<int>(hw::NetworkDevice::kRxQueueDepth);
+  constexpr int kSent = kHeld + 5;
+  DeliverNumberedFrames(net_b_, kSent);
+  EXPECT_EQ((*iface)->Invoke(5, 2), 5u);  // stats: frames_dropped
+  EXPECT_EQ(net_b_->frames_dropped(), 5u);
+
+  auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(rxbuf.ok());
+  // A frame longer than the caller's capacity is dropped, not kept.
+  EXPECT_EQ((*iface)->Invoke(1, *rxbuf, 4), 0u);
+  // The rest come back in arrival order.
+  for (int i = 1; i < kHeld; ++i) {
+    ASSERT_EQ((*iface)->Invoke(1, *rxbuf, nucleus::kPageSize), 8u) << "frame " << i;
+    uint8_t first = 0;
+    ASSERT_TRUE(vmem->Read(kernel, *rxbuf, std::span<uint8_t>(&first, 1)).ok());
+    EXPECT_EQ(first, i);
+  }
+  EXPECT_EQ((*iface)->Invoke(1, *rxbuf, nucleus::kPageSize), 0u);
+  EXPECT_EQ(net_b_->frames_received(), static_cast<uint64_t>(kHeld));
+}
+
+TEST_F(ComponentsTest, NetDriverFiltersFramesAtPollTime) {
+  auto* vmem = &nucleus_->vmem();
+  auto* kernel = nucleus_->kernel_context();
+  auto driver = NetDriver::Create(vmem, &nucleus_->events(), net_b_, kernel);
+  ASSERT_TRUE(driver.ok());
+  (*driver)->SetFrameFilter(
+      [](std::span<const uint8_t> frame) { return frame[0] % 2 == 0; });
+  auto iface = (*driver)->GetInterface(NetDriverType()->name());
+  ASSERT_TRUE(iface.ok());
+  EXPECT_EQ((*iface)->Invoke(4, 0), 0u);  // polled by hand: RX interrupts off
+
+  DeliverNumberedFrames(net_b_, 6);
+  EXPECT_EQ((*iface)->Invoke(5, 3), 0u);  // nothing filtered until a poll
+
+  auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(rxbuf.ok());
+  for (uint8_t expected : {0, 2, 4}) {
+    ASSERT_EQ((*iface)->Invoke(1, *rxbuf, nucleus::kPageSize), 8u);
+    uint8_t first = 0xFF;
+    ASSERT_TRUE(vmem->Read(kernel, *rxbuf, std::span<uint8_t>(&first, 1)).ok());
+    EXPECT_EQ(first, expected);
+  }
+  // Frame 5 is filtered on the way to "nothing left".
+  EXPECT_EQ((*iface)->Invoke(1, *rxbuf, nucleus::kPageSize), 0u);
+  EXPECT_EQ((*iface)->Invoke(5, 3), 3u);  // stats: frames_filtered
+  EXPECT_EQ((*driver)->frames_filtered(), 3u);
 }
 
 TEST_F(ComponentsTest, NetDriverMeasurementInterface) {
