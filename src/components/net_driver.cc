@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <span>
 
 #include "src/base/log.h"
@@ -78,7 +77,8 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
     return ~uint64_t{0};
   }
   // Pull the payload from the caller-domain address (the proxy has already
-  // re-homed it for cross-domain calls), then stage it in the TX area.
+  // re-homed it for cross-domain calls), then stage it in the TX area: one
+  // block copy each way.
   std::array<uint8_t, hw::NetworkDevice::kMaxFrame> buffer;
   std::span<uint8_t> payload(buffer.data(), len);
   Status read = vmem_->Read(home_, payload_vaddr, payload);
@@ -89,15 +89,8 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
     ++frames_filtered_;
     return 0;  // silently dropped, as a NIC filter would
   }
-  for (size_t off = 0; off < len; off += 4) {
-    uint32_t word = 0;
-    size_t n = std::min<size_t>(4, len - off);
-    std::memcpy(&word, buffer.data() + off, n);
-    Status wrote =
-        vmem_->WriteIo32(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset + off, word);
-    if (!wrote.ok()) {
-      return ~uint64_t{0};
-    }
+  if (!vmem_->Write(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset, payload).ok()) {
+    return ~uint64_t{0};
   }
   Status kicked = vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegTxLen,
                                    static_cast<uint32_t>(len));
@@ -120,16 +113,10 @@ uint64_t NetDriver::PollRecv(uint64_t dest_vaddr, uint64_t capacity, uint64_t, u
     }
     const size_t len = std::min<size_t>(*len_reg, hw::NetworkDevice::kMaxFrame);
     std::array<uint8_t, hw::NetworkDevice::kMaxFrame> buffer;
-    for (size_t off = 0; off < len; off += 4) {
-      auto word =
-          vmem_->ReadIo32(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset + off);
-      if (!word.ok()) {
-        return 0;
-      }
-      uint32_t v = *word;
-      std::memcpy(buffer.data() + off, &v, std::min<size_t>(4, len - off));
+    std::span<uint8_t> frame(buffer.data(), len);
+    if (!vmem_->Read(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame).ok()) {
+      return 0;
     }
-    std::span<const uint8_t> frame(buffer.data(), len);
     // Writing RX_LEN acks the frame and pumps the next queued one into the
     // RX area.
     auto ack = [this] {

@@ -4,11 +4,13 @@
 // It claims the device's register block as exclusive I/O space and the
 // on-device buffer as a (shareable) window, per the paper's I/O-space model.
 //
-// The driver keeps no RX queue of its own: PollRecv copies out the frame the
-// device holds in its RX area and acks it, so the device's queue is the only
-// RX buffering and overflow shows up in the device's frames_dropped. The
-// driver registers no interrupt handler either; a consumer (the protocol
-// stack) binds to IrqEvent() and polls when a frame arrives.
+// Frames cross the buffer window as block Read/Writes; only registers take
+// ReadIo32/WriteIo32. The driver keeps no RX queue of its own: PollRecv
+// copies out the frame the device holds in its RX area and acks it, so the
+// device's queue is the only RX buffering and overflow shows up in the
+// device's frames_dropped. The driver registers no interrupt handler either;
+// a consumer (the protocol stack) binds to IrqEvent() and polls when a frame
+// arrives.
 #ifndef PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 #define PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 

@@ -108,9 +108,13 @@ void EventService::Dispatch(EventNumber event, uint64_t detail) {
   }
   EventSlots& slots = table_[event];
   if (slots.live == 0) {
+    // Warn once per event number; an unpolled device raises per frame.
     ++stats_.unhandled;
-    PARA_WARN("unhandled processor event %u (detail 0x%llx)", event,
-              static_cast<unsigned long long>(detail));
+    if (!slots.warned_unhandled) {
+      slots.warned_unhandled = true;
+      PARA_WARN("unhandled processor event %u (detail 0x%llx), further raises only counted",
+                event, static_cast<unsigned long long>(detail));
+    }
     return;
   }
   // Walk the occupied prefix as it was when the event was raised: entries

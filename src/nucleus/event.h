@@ -104,6 +104,7 @@ class EventService : public obj::Object {
     std::array<Entry, kMaxRegistrationsPerEvent> entries;
     size_t count = 0;
     size_t live = 0;  // count minus tombstones
+    bool warned_unhandled = false;
   };
 
   void Dispatch(EventNumber event, uint64_t detail);

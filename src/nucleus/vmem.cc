@@ -241,6 +241,25 @@ Result<Pte*> VirtualMemoryService::ResolvePage(Context* context, VAddr vaddr, bo
   return Status(ErrorCode::kFault, "fault handler did not repair mapping");
 }
 
+Result<uint8_t*> VirtualMemoryService::PageBytes(const Pte& pte, VAddr vaddr, size_t len) {
+  if (!pte.io) {
+    return PagePtr(pte.phys) + (vaddr % kPageSize);
+  }
+  const IoWindow& window = io_windows_[pte.phys];
+  if (window.device == nullptr) {
+    return Status(ErrorCode::kUnavailable, "io window retired");
+  }
+  if (window.registers) {
+    return Status(ErrorCode::kInvalidArgument, "byte access to I/O register window");
+  }
+  const size_t offset = window.buffer_page_offset + vaddr % kPageSize;
+  auto buffer = window.device->device_buffer();
+  if (offset + len > buffer.size()) {
+    return Status(ErrorCode::kOutOfRange, "io buffer access out of range");
+  }
+  return buffer.data() + offset;
+}
+
 Status VirtualMemoryService::Read(Context* context, VAddr vaddr, std::span<uint8_t> out) {
   size_t done = 0;
   while (done < out.size()) {
@@ -253,10 +272,8 @@ Status VirtualMemoryService::Read(Context* context, VAddr vaddr, std::span<uint8
       continue;
     }
     PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, addr, /*write=*/false));
-    if (pte->io) {
-      return Status(ErrorCode::kInvalidArgument, "byte access to I/O window");
-    }
-    std::memcpy(out.data() + done, PagePtr(pte->phys) + (addr % kPageSize), chunk);
+    PARA_ASSIGN_OR_RETURN(uint8_t * host, PageBytes(*pte, addr, chunk));
+    std::memcpy(out.data() + done, host, chunk);
     done += chunk;
   }
   return OkStatus();
@@ -275,10 +292,8 @@ Status VirtualMemoryService::Write(Context* context, VAddr vaddr,
       continue;
     }
     PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, addr, /*write=*/true));
-    if (pte->io) {
-      return Status(ErrorCode::kInvalidArgument, "byte access to I/O window");
-    }
-    std::memcpy(PagePtr(pte->phys) + (addr % kPageSize), data.data() + done, chunk);
+    PARA_ASSIGN_OR_RETURN(uint8_t * host, PageBytes(*pte, addr, chunk));
+    std::memcpy(host, data.data() + done, chunk);
     done += chunk;
   }
   return OkStatus();
@@ -394,22 +409,14 @@ Result<uint32_t> VirtualMemoryService::ReadIo32(Context* context, VAddr vaddr) {
   if (!pte->io) {
     return Status(ErrorCode::kInvalidArgument, "not an io window");
   }
-  IoWindow& window = io_windows_[pte->phys];
-  if (window.device == nullptr) {
-    return Status(ErrorCode::kUnavailable, "io window retired");
-  }
-  size_t offset = vaddr % kPageSize;
-  if (window.registers) {
-    return window.device->ReadReg(offset);
+  const IoWindow& window = io_windows_[pte->phys];
+  if (window.registers && window.device != nullptr) {
+    return window.device->ReadReg(vaddr % kPageSize);
   }
   // Buffer window: plain 32-bit load from the device buffer.
-  offset += window.buffer_page_offset;
-  auto buffer = window.device->device_buffer();
-  if (offset + 4 > buffer.size()) {
-    return Status(ErrorCode::kOutOfRange, "io buffer read out of range");
-  }
+  PARA_ASSIGN_OR_RETURN(uint8_t * host, PageBytes(*pte, vaddr, 4));
   uint32_t value;
-  std::memcpy(&value, buffer.data() + offset, 4);
+  std::memcpy(&value, host, 4);
   return value;
 }
 
@@ -418,21 +425,13 @@ Status VirtualMemoryService::WriteIo32(Context* context, VAddr vaddr, uint32_t v
   if (!pte->io) {
     return Status(ErrorCode::kInvalidArgument, "not an io window");
   }
-  IoWindow& window = io_windows_[pte->phys];
-  if (window.device == nullptr) {
-    return Status(ErrorCode::kUnavailable, "io window retired");
-  }
-  size_t offset = vaddr % kPageSize;
-  if (window.registers) {
-    window.device->WriteReg(offset, value);
+  const IoWindow& window = io_windows_[pte->phys];
+  if (window.registers && window.device != nullptr) {
+    window.device->WriteReg(vaddr % kPageSize, value);
     return OkStatus();
   }
-  offset += window.buffer_page_offset;
-  auto buffer = window.device->device_buffer();
-  if (offset + 4 > buffer.size()) {
-    return Status(ErrorCode::kOutOfRange, "io buffer write out of range");
-  }
-  std::memcpy(buffer.data() + offset, &value, 4);
+  PARA_ASSIGN_OR_RETURN(uint8_t * host, PageBytes(*pte, vaddr, 4));
+  std::memcpy(host, &value, 4);
   return OkStatus();
 }
 

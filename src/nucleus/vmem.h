@@ -2,7 +2,9 @@
 // exclusive/shared allocation, per-page fault call-backs, and I/O-space
 // allocation. This is a *software MMU*: components access memory through
 // Read/Write/ReadU64/WriteU64, which translate through the owning context's
-// page table and deliver faults exactly where real hardware would.
+// page table and deliver faults exactly where real hardware would. Read and
+// Write also reach device-buffer windows; device registers take only
+// ReadIo32/WriteIo32.
 //
 // Cross-domain invocation (§3 directory service) is built on the per-page
 // fault call-backs this service provides, as in the paper (which cites
@@ -92,6 +94,8 @@ class VirtualMemoryService : public obj::Object {
   }
 
   // --- access through the software MMU ---
+  // One translation per page chunk. Device-buffer windows take Read/Write
+  // like memory (kOutOfRange past the buffer end); register windows refuse.
   Status Read(Context* context, VAddr vaddr, std::span<uint8_t> out);
   Status Write(Context* context, VAddr vaddr, std::span<const uint8_t> data);
   Result<uint64_t> ReadU64(Context* context, VAddr vaddr);
@@ -139,6 +143,9 @@ class VirtualMemoryService : public obj::Object {
   // success, fills the context's translation cache for plain memory pages.
   Result<Pte*> ResolvePage(Context* context, VAddr vaddr, bool write);
   Status RaiseFault(Context* context, VAddr vaddr, FaultKind kind, bool write);
+  // Host bytes behind [vaddr, vaddr + len) within one resolved page: memory,
+  // or a bounds-checked device buffer. Register and retired windows refuse.
+  Result<uint8_t*> PageBytes(const Pte& pte, VAddr vaddr, size_t len);
 
   // Flat fault-handler pool. PTEs store slot indices; a deque keeps the
   // slots address-stable so a running handler may register further handlers

@@ -116,25 +116,41 @@ Result<uint64_t> Vm::Run(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, u
   return RunDispatch(method, a0, a1, a2, a3);
 }
 
+bool Vm::ResolveJit() {
+  if (backend_ == VmBackend::kJit && jit_ == nullptr) [[unlikely]] {
+    auto compiled = GetOrCompileJit(*program_, mode_);
+    if (compiled.ok()) {
+      jit_ = std::move(compiled).value();
+    } else {
+      // Fail open to the portable loop, but observably: backend() flips so
+      // tests (and the filter's stats) can tell fallback from a JIT run.
+      backend_ = VmBackend::kThreaded;
+    }
+  }
+  return backend_ == VmBackend::kJit;
+}
+
+void Vm::FoldJitCounters(const JitContext& ctx, uint64_t instructions, uint64_t runs) {
+  stats_.instructions += instructions;
+  if (mode_ == ExecMode::kSandboxed) {
+    // Same flush-time fold as CounterFlush: ctx.bounds_checks holds the
+    // dynamically tested accesses, ctx.static_proofs the elided ones; their
+    // sum is the coverage count VmStats::bounds_checks reports.
+    stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
+    stats_.static_proofs += ctx.static_proofs;
+  }
+  stats_.calls += ctx.calls;
+  stats_.host_calls += ctx.host_calls;
+  stats_.jit_runs += runs;
+}
+
 Result<uint64_t> Vm::RunDispatch(size_t method, uint64_t a0, uint64_t a1, uint64_t a2,
                                  uint64_t a3) {
   if (method >= program_->entry_points.size()) {
     return Status(ErrorCode::kNotFound, "no such entry point");
   }
-  if (backend_ == VmBackend::kJit) {
-    if (jit_ == nullptr) {
-      auto compiled = GetOrCompileJit(*program_, mode_);
-      if (compiled.ok()) {
-        jit_ = std::move(compiled).value();
-      } else {
-        // Fail open to the portable loop, but observably: backend() flips so
-        // tests (and the filter's stats) can tell fallback from a JIT run.
-        backend_ = VmBackend::kThreaded;
-      }
-    }
-    if (jit_ != nullptr) {
-      return RunJit(method, a0, a1, a2, a3);
-    }
+  if (ResolveJit()) {
+    return RunJit(method, a0, a1, a2, a3);
   }
   // Compile-time specialization: the trusted loop contains no trace of the
   // run-time checks, exactly like certified native code.
@@ -187,17 +203,7 @@ Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2
 
   // Counter deltas land in stats_ on every exit, fault or clean — the same
   // contract as the interpreter's CounterFlush destructor.
-  stats_.instructions += ctx.instructions;
-  if (mode_ == ExecMode::kSandboxed) {
-    // Same flush-time fold as CounterFlush: ctx.bounds_checks holds the
-    // dynamically tested accesses, ctx.static_proofs the elided ones; their
-    // sum is the coverage count VmStats::bounds_checks reports.
-    stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
-    stats_.static_proofs += ctx.static_proofs;
-  }
-  stats_.calls += ctx.calls;
-  stats_.host_calls += ctx.host_calls;
-  ++stats_.jit_runs;
+  FoldJitCounters(ctx, ctx.instructions, 1);
 
   if (fault == JitFault::kNone) {
     return ctx.result;
@@ -209,15 +215,7 @@ Vm::Burst::Burst(Vm& vm, size_t method)
     : vm_(&vm), method_(method), valid_(method < vm.program_->entry_points.size()) {
   // Resolve the backend exactly like RunDispatch — lazy compile, observable
   // fallback — so a burst is indistinguishable from a loop of Run().
-  if (valid_ && vm_->backend_ == VmBackend::kJit && vm_->jit_ == nullptr) {
-    auto compiled = GetOrCompileJit(*vm_->program_, vm_->mode_);
-    if (compiled.ok()) {
-      vm_->jit_ = std::move(compiled).value();
-    } else {
-      vm_->backend_ = VmBackend::kThreaded;
-    }
-  }
-  jit_ = valid_ && vm_->backend_ == VmBackend::kJit;
+  jit_ = valid_ && vm_->ResolveJit();
   if (jit_) {
     JitContext& ctx = vm_->JitCtx();
     ctx.args[1] = 0;
@@ -238,12 +236,7 @@ Vm::Burst::~Burst() {
   }
   if (jit_) {
     JitContext& ctx = *vm_->jit_ctx_;
-    vm_->stats_.instructions += instructions_;
-    vm_->stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
-    vm_->stats_.static_proofs += ctx.static_proofs;
-    vm_->stats_.calls += ctx.calls;
-    vm_->stats_.host_calls += ctx.host_calls;
-    vm_->stats_.jit_runs += jit_runs_;
+    vm_->FoldJitCounters(ctx, instructions_, jit_runs_);
     // Calls pointed ctx.mem at their slots; Run() expects slot 0.
     ctx.mem = vm_->memory_.data();
   }

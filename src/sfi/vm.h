@@ -205,6 +205,13 @@ class Vm {
   [[gnu::always_inline]] inline Result<uint64_t> RunJit(size_t method, uint64_t a0,
                                                         uint64_t a1, uint64_t a2, uint64_t a3);
 
+  // Lazy JIT compile with observable fallback; true when the JIT serves.
+  [[gnu::always_inline]] inline bool ResolveJit();
+  // Folds a JIT run's or burst's counters into stats_ (inline: RunJit keeps
+  // its single frame).
+  [[gnu::always_inline]] inline void FoldJitCounters(const JitContext& ctx,
+                                                     uint64_t instructions, uint64_t runs);
+
   // Returns the persistent JitContext, allocating it and writing the
   // invariant fields (helper table, slot 0's memory base and size) on first
   // use. This is the leaner calling convention that shaves the per-run setup

@@ -2,6 +2,9 @@
 // console/timer/network drivers.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "src/components/allocator.h"
 #include "src/components/console_driver.h"
 #include "src/components/interposer.h"
@@ -136,32 +139,45 @@ TEST_F(ComponentsTest, NetDriverSendsAndReceives) {
 
   EXPECT_EQ((*iface_a)->Invoke(2), 0xAAAAu);  // get_mac
 
-  // Stage a payload in kernel memory and send it.
-  auto buf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
-  ASSERT_TRUE(buf.ok());
-  const char msg[] = "over the wire";
-  ASSERT_TRUE(vmem->Write(kernel, *buf,
-                          std::span<const uint8_t>(
-                              reinterpret_cast<const uint8_t*>(msg), sizeof(msg)))
-                  .ok());
-  EXPECT_EQ((*iface_a)->Invoke(0, *buf, sizeof(msg)), 0u);
-
-  // Let the frame cross the link; it waits in device B's RX area until polled.
-  machine_.Advance(200);
-  Settle();
-
+  auto txbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
   auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(txbuf.ok());
   ASSERT_TRUE(rxbuf.ok());
-  uint64_t len = (*iface_b)->Invoke(1, *rxbuf, nucleus::kPageSize);
-  ASSERT_EQ(len, sizeof(msg));
-  char out[sizeof(msg)] = {};
-  ASSERT_TRUE(vmem->Read(kernel, *rxbuf,
-                         std::span<uint8_t>(reinterpret_cast<uint8_t*>(out), sizeof(out)))
-                  .ok());
-  EXPECT_STREQ(out, msg);
+
+  // Lengths on both sides of the 4-byte word, Ethernet's smallest and
+  // largest frames, and the device's largest: each crosses the link both
+  // ways and must arrive byte for byte, with nothing written past its end.
+  constexpr uint8_t kGuard = 0xEE;
+  const size_t lengths[] = {1, 3, 4, 61, 64, 1518, hw::NetworkDevice::kMaxFrame};
+  for (size_t len : lengths) {
+    for (bool a_to_b : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "len " << len << (a_to_b ? " a->b" : " b->a"));
+      const auto* tx = a_to_b ? *iface_a : *iface_b;
+      const auto* rx = a_to_b ? *iface_b : *iface_a;
+      std::vector<uint8_t> frame(len);
+      for (size_t i = 0; i < len; ++i) {
+        frame[i] = static_cast<uint8_t>(i * 7 + len + (a_to_b ? 1 : 0));
+      }
+      ASSERT_TRUE(vmem->Write(kernel, *txbuf, frame).ok());
+      std::vector<uint8_t> guard(nucleus::kPageSize, kGuard);
+      ASSERT_TRUE(vmem->Write(kernel, *rxbuf, guard).ok());
+
+      ASSERT_EQ(tx->Invoke(0, *txbuf, len), 0u);
+      // The frame crosses the link and waits in the RX area until polled.
+      machine_.Advance(200);
+      Settle();
+      ASSERT_EQ(rx->Invoke(1, *rxbuf, nucleus::kPageSize), len);
+
+      std::vector<uint8_t> got(len + 1);
+      ASSERT_TRUE(vmem->Read(kernel, *rxbuf, got).ok());
+      EXPECT_EQ(got.back(), kGuard);
+      got.pop_back();
+      EXPECT_EQ(got, frame);
+    }
+  }
   // Stats flow through.
-  EXPECT_EQ((*iface_a)->Invoke(5, 0), 1u);  // tx
-  EXPECT_EQ((*iface_b)->Invoke(5, 1), 1u);  // rx
+  EXPECT_EQ((*iface_a)->Invoke(5, 0), std::size(lengths));  // tx
+  EXPECT_EQ((*iface_b)->Invoke(5, 1), std::size(lengths));  // rx
 }
 
 // Frames pushed straight into device B's RX path, one byte of payload each:

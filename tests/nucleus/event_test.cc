@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
+#include "src/base/log.h"
 #include "src/hw/timer.h"
 #include "src/nucleus/vmem.h"
 
@@ -66,6 +68,21 @@ TEST_F(EventTest, UnregisterStopsDelivery) {
 TEST_F(EventTest, UnhandledEventCounted) {
   machine_.irq().Raise(9);
   EXPECT_EQ(events_.stats().unhandled, 1u);
+}
+
+TEST_F(EventTest, UnhandledEventWarnsOncePerEventNumber) {
+  // A device nobody polls raises its interrupt for every frame: the warning
+  // comes once, the counter keeps every raise.
+  int warnings = 0;
+  Logger::Get().set_sink([&warnings](LogLevel level, std::string_view) {
+    warnings += level == LogLevel::kWarn ? 1 : 0;
+  });
+  for (int i = 0; i < 22; ++i) {
+    machine_.irq().Raise(9);
+  }
+  Logger::Get().set_sink(nullptr);
+  EXPECT_EQ(warnings, 1);
+  EXPECT_EQ(events_.stats().unhandled, 22u);
 }
 
 TEST_F(EventTest, RegistrationValidation) {

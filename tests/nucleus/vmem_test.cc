@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
@@ -271,6 +272,44 @@ TEST_F(VmemTest, IoBufferSharedAcrossContexts) {
   auto seen = vmem_.ReadIo32(user, *uwin + 8);
   ASSERT_TRUE(seen.ok());
   EXPECT_EQ(*seen, 0x11223344u);
+}
+
+TEST_F(VmemTest, IoBufferWindowTakesBlockAccess) {
+  hw::Machine machine;
+  // The buffer ends 1000 bytes into the window's second page.
+  constexpr size_t kBufferBytes = kPageSize + 1000;
+  auto* device = machine.AddDevice(std::make_unique<hw::Device>("buf", 1, 0x20, kBufferBytes));
+  Context* user = vmem_.CreateContext("user", kernel_);
+  auto kwin = vmem_.MapDeviceBuffer(kernel_, device, kProtReadWrite);
+  auto uwin = vmem_.MapDeviceBuffer(user, device, kProtRead);
+  ASSERT_TRUE(kwin.ok());
+  ASSERT_TRUE(uwin.ok());
+
+  // Written through the kernel's window across the page boundary, 23 bytes
+  // (a non-multiple-of-4 tail), read back through the user's window.
+  const size_t offset = kPageSize - 10;
+  std::vector<uint8_t> data(23);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  ASSERT_TRUE(vmem_.Write(kernel_, *kwin + offset, data).ok());
+  std::vector<uint8_t> back(data.size());
+  ASSERT_TRUE(vmem_.Read(user, *uwin + offset, back).ok());
+  EXPECT_EQ(back, data);
+  auto buffer = device->device_buffer();
+  EXPECT_EQ(std::memcmp(buffer.data() + offset, data.data(), data.size()), 0);
+  EXPECT_EQ(buffer[offset - 1], 0);
+  EXPECT_EQ(buffer[offset + data.size()], 0);
+
+  // The window's last page reaches past the buffer: the last 8 bytes read,
+  // 8 bytes that run 4 past the end do not.
+  std::vector<uint8_t> tail(8);
+  EXPECT_TRUE(vmem_.Read(user, *uwin + kBufferBytes - 8, tail).ok());
+  EXPECT_TRUE(vmem_.Read(user, *uwin + kBufferBytes - 4, tail).is(ErrorCode::kOutOfRange));
+
+  // The user's mapping is read-only.
+  EXPECT_FALSE(vmem_.Write(user, *uwin, data).ok());
+  EXPECT_EQ(buffer[0], 0);
 }
 
 TEST_F(VmemTest, ByteAccessToIoWindowRejected) {
